@@ -32,7 +32,7 @@ from .radius import (
 
 #: Scan resolution for locating sign changes of the area-slope function.
 ALTITUDE_SCAN_POINTS = 200
-#: Bisection tolerance for refining each located sign change, in meters.
+#: Bracket width at which each located sign change is refined, in meters.
 ALTITUDE_ROOT_TOL_M = 0.01
 
 
@@ -134,17 +134,28 @@ def _area_slope(h_m, classes, env, radio) -> float:
     )
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float, tol: float) -> float:
+def _illinois_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
+    # Modified regula falsi on a sign-changing bracket: the end kept twice in
+    # a row has its value halved, so both ends close in on the root.
+    x, side = 0.5 * (lo + hi), 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:  # rounding at a tiny bracket
+            x = 0.5 * (lo + hi)
+        f_x = f(x)
+        if f_x == 0.0:
+            return x
+        if (f_x < 0.0) == (f_hi < 0.0):
+            hi, f_hi = x, f_x
+            if side == -1:
+                f_lo *= 0.5
+            side = -1
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            lo, f_lo = x, f_x
+            if side == 1:
+                f_hi *= 0.5
+            side = 1
+    return x
 
 
 def mwa_altitude(
@@ -156,9 +167,10 @@ def mwa_altitude(
     """Altitude maximizing the density-weighted squared-radius sum.
 
     Stationary points are located as sign changes of the area slope on a
-    uniform scan of the bracket and refined by bisection; because stationary
-    points need not be unique, every refined root plus both bracket endpoints
-    is scored and the best kept (ties resolve to the lowest altitude).
+    uniform scan of the bracket and refined by the Illinois variant of regula
+    falsi, seeded with the scan's slopes; because stationary points need not
+    be unique, every refined root plus both bracket endpoints is scored and
+    the best kept (ties resolve to the lowest altitude).
     """
     cs = sort_classes(classes)
     if not any(c.lambda_per_km2 > 0.0 for c in cs):
@@ -184,9 +196,8 @@ def mwa_altitude(
         if slope[i] == 0.0:
             candidates.append(float(hs[i]))
         elif slope[i] * slope[i + 1] < 0.0:
-            candidates.append(
-                _bisect_root(f, float(hs[i]), float(hs[i + 1]), float(slope[i]), ALTITUDE_ROOT_TOL_M)
-            )
+            cell = (float(hs[i]), float(hs[i + 1]), float(slope[i]), float(slope[i + 1]))
+            candidates.append(_illinois_root(f, *cell, ALTITUDE_ROOT_TOL_M))
     if slope[-1] == 0.0:
         candidates.append(float(hs[-1]))
 

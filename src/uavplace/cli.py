@@ -225,6 +225,8 @@ def load_users_csv(path, known_ids) -> list[User]:
                 cid = int(row[2])
             except ValueError:
                 raise InputError(f"users CSV line {lineno}: malformed row {row!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise InputError(f"users CSV line {lineno}: non-finite coordinate in {row!r}")
             if cid not in known_ids:
                 raise InputError(f"users CSV line {lineno}: unknown class id {cid}")
             users.append(User(x, y, cid))

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 import uavplace as up
+from uavplace import algorithms
 from uavplace.errors import InputError
 from uavplace.radius import _golden_max
 
@@ -101,6 +102,30 @@ class TestMwaAltitude:
     def test_interior_for_equal_densities(self, two_classes, urban, radio, bracket):
         h = up.mwa_altitude(two_classes, urban, radio, bracket)
         assert bracket.h_lo_m < h < bracket.h_hi_m
+
+    def test_refined_roots_match_brentq(self, urban, radio):
+        # every sign change of the scan, refined by Illinois, lies within the
+        # bracket tolerance of an independent root of the same slope function
+        rng = np.random.default_rng(71)
+        roots = 0
+        for _ in range(12):
+            k = int(rng.integers(2, 4))
+            gammas, lams = rng.uniform(42.0, 54.0, k), rng.uniform(0.5, 8.0, k)
+            cs = up.sort_classes(
+                up.QosClass.from_radio(i + 1, g, lam, radio)
+                for i, (g, lam) in enumerate(zip(gammas, lams))
+            )
+            br = up.altitude_bracket(cs, urban, radio)
+            f = lambda h: algorithms._area_slope(h, cs, urban, radio)
+            hs = np.linspace(br.h_lo_m, br.h_hi_m, algorithms.ALTITUDE_SCAN_POINTS)
+            slope = [f(h) for h in hs]
+            for a, b, fa, fb in zip(hs[:-1], hs[1:], slope[:-1], slope[1:]):
+                if fa * fb < 0.0:
+                    tol = algorithms.ALTITUDE_ROOT_TOL_M
+                    root = algorithms._illinois_root(f, a, b, fa, fb, tol)
+                    assert abs(root - brentq(f, a, b, xtol=1e-9)) <= tol
+                    roots += 1
+        assert roots >= 12
 
     def test_requires_positive_density(self, urban, radio, bracket):
         cs = (

@@ -179,6 +179,13 @@ class TestUsersCsv:
         with pytest.raises(InputError, match="line 2.*class id 9"):
             load_users_csv(path, {1})
 
+    @pytest.mark.parametrize("row", ["nan,5,1", "5,inf,1", "-inf,0,1"])
+    def test_non_finite_coordinate_names_line(self, tmp_path, row):
+        path = tmp_path / "users.csv"
+        path.write_text(f"x_m,y_m,class_id\n1,2,1\n{row}\n")
+        with pytest.raises(InputError, match="line 3.*non-finite"):
+            load_users_csv(path, {1})
+
 
 class TestRadiusCommand:
     def test_direct_flags(self, capsys):
@@ -266,6 +273,15 @@ class TestPlaceCommand:
     def test_malformed_csv_exit(self, scenario_file, tmp_path, capsys):
         users = tmp_path / "users.csv"
         users.write_text("x_m,y_m,class_id\n1,2\n")
+        code = main(
+            ["place", "--scenario", str(scenario_file), "--users", str(users), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_non_finite_csv_exit(self, scenario_file, tmp_path, capsys):
+        users = tmp_path / "users.csv"
+        users.write_text("x_m,y_m,class_id\nnan,5,1\n1500,1500,1\n")
         code = main(
             ["place", "--scenario", str(scenario_file), "--users", str(users), "--out", str(tmp_path)]
         )

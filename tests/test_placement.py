@@ -1,10 +1,14 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uavplace as up
+from uavplace import placement
 from uavplace.errors import InputError
 from uavplace.placement import _pairwise_intersections, _user_arrays
 
@@ -45,6 +49,16 @@ class TestEvaluateCenter:
             up.evaluate_center(0.0, 0.0, [up.User(0.0, 0.0, 1)], {1: -1.0})
         with pytest.raises(InputError):
             up.evaluate_center(0.0, 0.0, [up.User(0.0, 0.0, 1)], {1: math.inf})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_position(self, bad):
+        users = [up.User(0.0, 0.0, 1), up.User(bad, 5.0, 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="user 1 has non-finite"):
+                up.evaluate_center(0.0, 0.0, users, {1: 10.0})
+            with pytest.raises(InputError, match="user 1 has non-finite"):
+                up.solve_exact(users, {1: 10.0})
 
     def test_zero_radius_covers_colocated_only(self):
         users = [up.User(0.0, 0.0, 1), up.User(0.1, 0.0, 1)]
@@ -172,8 +186,10 @@ class TestSolveExact:
             up.solve_exact([], {1: 10.0})
 
     def test_runtime_scaling(self):
-        # candidate set is O(n^2), scoring O(n) each: doubling n should cost
-        # at most ~8x, asserted loosely at 9x over a few amortized repeats
+        # the angular sweep is O(n^2 log n): doubling n should cost about 4x,
+        # asserted loosely at 6x over a few amortized repeats, at sizes where
+        # solve_exact sweeps
+        assert 100 >= placement._SWEEP_MIN_USERS
         rng = np.random.default_rng(47)
 
         def total_time(n, reps=3):
@@ -185,8 +201,90 @@ class TestSolveExact:
                 t += time.perf_counter() - t0
             return t
 
-        total_time(64, reps=1)  # warm-up
-        assert total_time(128) <= 9.0 * total_time(64)
+        total_time(100, reps=1)  # warm-up
+        assert total_time(200) <= 6.0 * total_time(100)
+
+
+def _both_solvers(pts, radii):
+    pts, radii = np.asarray(pts, dtype=float), np.asarray(radii, dtype=float)
+    eff2 = (radii * (1.0 + up.GEOM_SLACK)) ** 2
+    want = placement._enumerate(pts, radii, eff2)
+    got = placement._sweep(pts, radii, eff2)
+    count = lambda xy: int(placement._count_block(np.array([xy]), pts, eff2)[0])
+    return want, got, count(want), count(got)
+
+
+def _degenerate_instances():
+    yield [(0.0, 0.0)] * 5, [100.0] * 5  # coincident users
+    yield [(0.0, 0.0), (200.0, 0.0), (400.0, 0.0)], [100.0] * 3  # external tangency
+    yield [(0.0, 0.0), (50.0, 0.0), (0.0, 0.0)], [150.0, 100.0, 100.0]  # internal tangency
+    yield [(10.0, 10.0)] * 3 + [(60.0, 10.0)], [100.0, 50.0, 20.0, 50.0]  # concentric
+    yield [(0.0, 0.0), (3.0, 4.0), (6.0, 8.0), (3.0, 0.0)], [0.0, 5.0, 0.0, 5.0]  # radius 0
+    yield [(0.0, 0.0)], [0.0]
+    yield [(0.0, 0.0)] * 3 + [(0.0, 50.0)], [5e-324] * 3 + [0.0]  # subnormal radius
+    yield [(0.0, 0.0), (1.0, 1.0)], [0.0, 0.0]
+    rng = np.random.default_rng(101)
+    for _ in range(60):
+        n = int(rng.integers(2, 70))
+        pts = rng.integers(0, 8, (n, 2)) * 50.0  # integer lattice
+        levels = rng.integers(0, 6, 3) * 50.0  # radius 0 among the classes
+        yield pts, levels[rng.integers(0, 3, n)]
+
+
+class TestSweepMatchesEnumerator:
+    """The angular sweep against the O(n^3) candidate enumerator."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1000):
+            n = int(rng.integers(1, 121))
+            box = rng.choice([300.0, 1000.0, 3000.0])
+            pts = rng.uniform(0.0, box, (n, 2))
+            levels = rng.uniform(20.0, 600.0, int(rng.integers(1, 4)))
+            radii = levels[rng.integers(0, len(levels), n)]
+            want, got, c_want, c_got = _both_solvers(pts, radii)
+            assert got == want and c_got == c_want
+
+    def test_degenerate_instances(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pts, radii in _degenerate_instances():
+                want, got, c_want, c_got = _both_solvers(pts, radii)
+                assert got == want and c_got == c_want
+
+    def test_solve_exact_switches_at_threshold(self):
+        rng = np.random.default_rng(5)
+        for n in (placement._SWEEP_MIN_USERS - 1, placement._SWEEP_MIN_USERS, 120):
+            users, radius_map = random_instance(rng, n, box=2000.0)
+            pts, radii = _user_arrays(users, radius_map)
+            eff2 = (radii * (1.0 + up.GEOM_SLACK)) ** 2
+            sol = up.solve_exact(users, radius_map)
+            assert (sol.x_d_m, sol.y_d_m) == placement._enumerate(pts, radii, eff2)
+
+
+_coord = st.one_of(
+    st.integers(0, 12).map(lambda k: 50.0 * k), st.floats(0.0, 600.0, allow_nan=False)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 90),
+    r1=st.floats(0.0, 300.0),
+    r2=st.floats(0.0, 300.0),
+    probes=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=10),
+    data=st.data(),
+)
+def test_exact_count_properties(n, r1, r2, probes, data):
+    # n spans both sides of the sweep threshold
+    user = st.tuples(_coord, _coord, st.integers(1, 2))
+    users = [up.User(*u) for u in data.draw(st.lists(user, min_size=n, max_size=n))]
+    radius_map = {1: r1, 2: r2}
+    best = up.solve_exact(users, radius_map).covered_count
+    for x, y in probes:
+        assert best >= up.evaluate_center(x, y, users, radius_map).covered_count
+    order = data.draw(st.permutations(range(len(users))))
+    assert up.solve_exact([users[i] for i in order], radius_map).covered_count == best
 
 
 class TestGridOracle:
