@@ -27,7 +27,6 @@ from .channel import (
     loss_threshold,
     los_probability,
     mean_path_loss,
-    mean_path_loss_polar,
     mean_snr,
     path_loss_constants,
     sort_classes,
@@ -37,7 +36,6 @@ from .placement import (
     GEOM_SLACK,
     PlacementSolution,
     User,
-    circle_intersections,
     evaluate_center,
     export_bigm_model,
     grid_oracle,
@@ -45,10 +43,8 @@ from .placement import (
 )
 from .radius import (
     AltitudeBracket,
-    CoverageDisc,
     OptimalPoint,
     altitude_bracket,
-    coverage_discs,
     coverage_radius,
     coverage_radius_profile,
     optimal_elevation,
@@ -72,7 +68,6 @@ __all__ = [
     "AltitudeBracket",
     "AltitudeGrid",
     "CdfSeries",
-    "CoverageDisc",
     "Environment",
     "GEOM_SLACK",
     "InfeasibleThresholdError",
@@ -90,8 +85,6 @@ __all__ = [
     "User",
     "altitude_bracket",
     "cdf",
-    "circle_intersections",
-    "coverage_discs",
     "coverage_radius",
     "coverage_radius_profile",
     "evaluate_center",
@@ -104,7 +97,6 @@ __all__ = [
     "lq_place",
     "mean_covered_density",
     "mean_path_loss",
-    "mean_path_loss_polar",
     "mean_snr",
     "mwa_altitude",
     "mwa_place",

@@ -34,6 +34,9 @@ from .radius import (
 ALTITUDE_SCAN_POINTS = 200
 #: Bracket width at which each located sign change is refined, in meters.
 ALTITUDE_ROOT_TOL_M = 0.01
+#: Largest altitude-grid step count: the grid is materialized and every
+#: altitude costs one exact placement.
+MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,8 @@ class AltitudeGrid:
     def __post_init__(self) -> None:
         if not 0.0 < self.h_lo_m <= self.h_hi_m:
             raise InputError("grid requires 0 < h_lo_m <= h_hi_m")
-        if self.n_points < 1:
-            raise InputError("grid needs n_points >= 1")
+        if not 1 <= self.n_points <= MAX_GRID_POINTS:
+            raise InputError(f"grid needs 1 <= n_points <= {MAX_GRID_POINTS}")
 
     @property
     def step_m(self) -> float:

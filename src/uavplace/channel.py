@@ -37,6 +37,8 @@ class Environment:
     eta_nlos_db: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.eta_los_db, self.eta_nlos_db))):
+            raise InputError("environment constants must be finite")
         if not (self.a > 0.0 and self.b > 0.0):
             raise InputError("environment constants a and b must be positive")
         if not (0.0 <= self.eta_los_db <= self.eta_nlos_db):
@@ -60,6 +62,8 @@ class RadioConfig:
     c_m_s: float = SPEED_OF_LIGHT_M_S
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.fc_hz, self.pt_dbm, self.pn_dbm, self.c_m_s))):
+            raise InputError("radio parameters must be finite")
         if not self.fc_hz > 0.0:
             raise InputError("carrier frequency fc_hz must be positive")
         if not self.pt_dbm > self.pn_dbm:
@@ -111,8 +115,8 @@ class QosClass:
     def __post_init__(self) -> None:
         if not isinstance(self.id, int) or self.id < 0:
             raise InputError("class id must be a nonnegative integer")
-        if not self.lambda_per_km2 >= 0.0:
-            raise InputError("class density lambda_per_km2 must be >= 0")
+        if not 0.0 <= self.lambda_per_km2 < math.inf:
+            raise InputError("class density lambda_per_km2 must be finite and >= 0")
         if not math.isfinite(self.l_th_db):
             raise InputError("class loss threshold l_th_db must be finite")
 
@@ -163,27 +167,6 @@ def mean_path_loss(h_m: float, r_m: float, env: Environment, radio: RadioConfig)
     theta_deg = math.degrees(math.atan2(h_m, r_m))
     p_los = los_probability(theta_deg, env)
     return k.delta_db * p_los + 10.0 * math.log10(h_m * h_m + r_m * r_m) + k.offset_db
-
-
-def mean_path_loss_polar(
-    theta_deg: float, r_m: float, env: Environment, radio: RadioConfig
-) -> float:
-    """Mean path loss parameterized by elevation angle and horizontal offset.
-
-    Algebraically identical to :func:`mean_path_loss` with
-    ``h = r * tan(theta)``. The 90 degree overhead case is singular here
-    (cosine in the denominator); callers use the Cartesian form there.
-    """
-    if not 0.0 < theta_deg < 90.0:
-        raise InputError(
-            f"elevation angle must be in (0, 90) degrees for the polar form, got {theta_deg}"
-        )
-    if not r_m > 0.0:
-        raise InputError(f"horizontal distance r_m must be positive, got {r_m}")
-    k = path_loss_constants(env, radio)
-    p_los = los_probability(theta_deg, env)
-    slant = r_m / math.cos(math.radians(theta_deg))
-    return k.delta_db * p_los + 20.0 * math.log10(slant) + k.offset_db
 
 
 def loss_threshold(radio: RadioConfig, gamma_th_db: float) -> float:

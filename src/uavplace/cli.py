@@ -17,10 +17,9 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from .algorithms import AltitudeGrid
 from .channel import URBAN, Environment, QosClass, RadioConfig, loss_threshold
@@ -33,18 +32,19 @@ from .sim import (
     TrialRecord,
     cdf,
     generate_users,
-    run_algorithm,
     run_trials,
+    summarize,
     sweep_rho,
+    trial_records,
 )
 SCHEMA_VERSION = 1
 
-_SIM_DEFAULTS = {"trials": 100, "master_seed": 0, "grid_points": 9}
-_SECTION_KEYS = {
-    "area": {"width_km", "height_km"},
-    "radio": {"fc_hz", "pt_dbm", "pn_dbm"},
-    "sim": {"trials", "master_seed", "grid_points", "rho"},
-}
+# Keys of each scenario-file section, with the type each value parses to.
+_AREA_KEYS = {"width_km": float, "height_km": float}
+_RADIO_KEYS = {"fc_hz": float, "pt_dbm": float, "pn_dbm": float}
+_ENV_KEYS = {"a": float, "b": float, "eta_los_db": float, "eta_nlos_db": float}
+_CLASS_KEYS = {"gamma_th_db": float, "lambda_per_km2": float}
+_SIM_KEYS = {"trials": int, "master_seed": int, "grid_points": int, "rho": float}
 _ENV_PRESETS = {"urban": URBAN}
 _CLASS_SECTION = re.compile(r"^class\.(\d+)$")
 
@@ -53,54 +53,35 @@ _CLASS_SECTION = re.compile(r"^class\.(\d+)$")
 # scenario file handling
 
 
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"key '{key}' in [{section}] is not a number: {raw!r}") from None
+def _read_section(
+    parser: configparser.ConfigParser, section: str, keys: dict, required: bool = True
+) -> dict:
+    """Parsed values of the keys present in one section.
 
-
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"key '{key}' in [{section}] is not an integer: {raw!r}") from None
-
-
-def _require_keys(parser: configparser.ConfigParser, section: str, keys: set[str]) -> None:
+    Unknown keys are rejected. A ``required`` section must exist and hold
+    every key; an optional one may omit any of them.
+    """
     if not parser.has_section(section):
-        raise InputError(f"missing required section [{section}]")
+        if required:
+            raise InputError(f"missing required section [{section}]")
+        return {}
     present = set(parser.options(section))
-    unknown = present - keys
+    unknown = sorted(present - keys.keys())
     if unknown:
-        raise InputError(f"unknown key '{sorted(unknown)[0]}' in [{section}]")
-
-
-def _parse_environment(parser: configparser.ConfigParser) -> Environment:
-    section = "environment"
-    if not parser.has_section(section):
-        raise InputError(f"missing required section [{section}]")
-    present = set(parser.options(section))
-    if "preset" in present:
-        if present != {"preset"}:
-            raise InputError("[environment] preset and explicit constants are mutually exclusive")
-        name = parser.get(section, "preset")
-        if name not in _ENV_PRESETS:
-            raise InputError(f"unknown environment preset {name!r} (built-in: urban)")
-        return _ENV_PRESETS[name]
-    wanted = {"a", "b", "eta_los_db", "eta_nlos_db"}
-    unknown = present - wanted
-    if unknown:
-        raise InputError(f"unknown key '{sorted(unknown)[0]}' in [environment]")
-    missing = wanted - present
-    if missing:
-        raise InputError(f"missing key '{sorted(missing)[0]}' in [environment]")
-    return Environment(
-        a=_parse_float(section, "a", parser.get(section, "a")),
-        b=_parse_float(section, "b", parser.get(section, "b")),
-        eta_los_db=_parse_float(section, "eta_los_db", parser.get(section, "eta_los_db")),
-        eta_nlos_db=_parse_float(section, "eta_nlos_db", parser.get(section, "eta_nlos_db")),
-    )
+        raise InputError(f"unknown key '{unknown[0]}' in [{section}]")
+    missing = sorted(keys.keys() - present)
+    if required and missing:
+        raise InputError(f"missing key '{missing[0]}' in [{section}]")
+    values = {}
+    for key, kind in keys.items():
+        if key in present:
+            raw = parser.get(section, key)
+            try:
+                values[key] = kind(raw)
+            except (TypeError, ValueError):
+                noun = "an integer" if kind is int else "a number"
+                raise InputError(f"key '{key}' in [{section}] is not {noun}: {raw!r}") from None
+    return values
 
 
 def load_scenario(path) -> Scenario:
@@ -125,54 +106,23 @@ def load_scenario(path) -> Scenario:
     if not class_sections:
         raise InputError("at least one [class.<id>] section is required")
 
-    _require_keys(parser, "area", _SECTION_KEYS["area"])
-    for key in sorted(_SECTION_KEYS["area"]):
-        if not parser.has_option("area", key):
-            raise InputError(f"missing key '{key}' in [area]")
-    _require_keys(parser, "radio", _SECTION_KEYS["radio"])
-    for key in sorted(_SECTION_KEYS["radio"]):
-        if not parser.has_option("radio", key):
-            raise InputError(f"missing key '{key}' in [radio]")
-
-    env = _parse_environment(parser)
-    radio = RadioConfig(
-        fc_hz=_parse_float("radio", "fc_hz", parser.get("radio", "fc_hz")),
-        pt_dbm=_parse_float("radio", "pt_dbm", parser.get("radio", "pt_dbm")),
-        pn_dbm=_parse_float("radio", "pn_dbm", parser.get("radio", "pn_dbm")),
+    area = _read_section(parser, "area", _AREA_KEYS)
+    radio = RadioConfig(**_read_section(parser, "radio", _RADIO_KEYS))
+    if parser.has_option("environment", "preset"):
+        if len(parser.options("environment")) > 1:
+            raise InputError("[environment] preset and explicit constants are mutually exclusive")
+        name = parser.get("environment", "preset")
+        if name not in _ENV_PRESETS:
+            raise InputError(f"unknown environment preset {name!r} (built-in: urban)")
+        env = _ENV_PRESETS[name]
+    else:
+        env = Environment(**_read_section(parser, "environment", _ENV_KEYS))
+    classes = tuple(
+        QosClass.from_radio(id=class_id, radio=radio, **_read_section(parser, section, _CLASS_KEYS))
+        for class_id, section in sorted(class_sections)
     )
-
-    classes = []
-    for class_id, section in sorted(class_sections):
-        wanted = {"gamma_th_db", "lambda_per_km2"}
-        _require_keys(parser, section, wanted)
-        for key in sorted(wanted):
-            if not parser.has_option(section, key):
-                raise InputError(f"missing key '{key}' in [{section}]")
-        classes.append(
-            QosClass.from_radio(
-                id=class_id,
-                gamma_th_db=_parse_float(section, "gamma_th_db", parser.get(section, "gamma_th_db")),
-                lambda_per_km2=_parse_float(
-                    section, "lambda_per_km2", parser.get(section, "lambda_per_km2")
-                ),
-                radio=radio,
-            )
-        )
-
-    trials = _SIM_DEFAULTS["trials"]
-    master_seed = _SIM_DEFAULTS["master_seed"]
-    grid_points = _SIM_DEFAULTS["grid_points"]
-    rho = None
-    if parser.has_section("sim"):
-        _require_keys(parser, "sim", _SECTION_KEYS["sim"])
-        if parser.has_option("sim", "trials"):
-            trials = _parse_int("sim", "trials", parser.get("sim", "trials"))
-        if parser.has_option("sim", "master_seed"):
-            master_seed = _parse_int("sim", "master_seed", parser.get("sim", "master_seed"))
-        if parser.has_option("sim", "grid_points"):
-            grid_points = _parse_int("sim", "grid_points", parser.get("sim", "grid_points"))
-        if parser.has_option("sim", "rho"):
-            rho = _parse_float("sim", "rho", parser.get("sim", "rho"))
+    sim = _read_section(parser, "sim", _SIM_KEYS, required=False)
+    rho = sim.pop("rho", None)
 
     if not parser.has_section("algorithms"):
         raise InputError("missing required section [algorithms]")
@@ -185,19 +135,9 @@ def load_scenario(path) -> Scenario:
         algorithms.append(key)
 
     scenario = Scenario(
-        width_km=_parse_float("area", "width_km", parser.get("area", "width_km")),
-        height_km=_parse_float("area", "height_km", parser.get("area", "height_km")),
-        env=env,
-        radio=radio,
-        classes=tuple(classes),
-        trials=trials,
-        master_seed=master_seed,
-        algorithms=tuple(algorithms),
-        grid_points=grid_points,
+        env=env, radio=radio, classes=classes, algorithms=tuple(algorithms), **area, **sim
     )
-    if rho is not None:
-        scenario = scenario.with_rho(rho)
-    return scenario
+    return scenario if rho is None else scenario.with_rho(rho)
 
 
 def load_users_csv(path, known_ids) -> list[User]:
@@ -241,22 +181,9 @@ def scenario_to_dict(s: Scenario) -> dict:
     return {
         "width_km": s.width_km,
         "height_km": s.height_km,
-        "environment": {
-            "a": s.env.a,
-            "b": s.env.b,
-            "eta_los_db": s.env.eta_los_db,
-            "eta_nlos_db": s.env.eta_nlos_db,
-        },
+        "environment": asdict(s.env),
         "radio": {"fc_hz": s.radio.fc_hz, "pt_dbm": s.radio.pt_dbm, "pn_dbm": s.radio.pn_dbm},
-        "classes": [
-            {
-                "id": c.id,
-                "gamma_th_db": c.gamma_th_db,
-                "lambda_per_km2": c.lambda_per_km2,
-                "l_th_db": c.l_th_db,
-            }
-            for c in s.classes
-        ],
+        "classes": [asdict(c) for c in s.classes],
         "trials": s.trials,
         "master_seed": s.master_seed,
         "grid_points": s.grid_points,
@@ -265,35 +192,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "count_mode": "fixed" if s.fixed_count else "poisson",
         "strict_lq": s.strict_lq,
     }
-
-
-def _record_to_dict(r: TrialRecord) -> dict:
-    return {
-        "trial_id": r.trial_id,
-        "algorithm": r.algorithm,
-        "total_users": r.total_users,
-        "covered": r.covered,
-        "per_class_covered": {str(k): v for k, v in sorted(r.per_class_covered.items())},
-        "h_m": r.h_m,
-        "x_d_m": r.x_d_m,
-        "y_d_m": r.y_d_m,
-        "runtime_s": r.runtime_s,
-        "master_seed": r.master_seed,
-    }
-
-
-def _summary(records: Sequence[TrialRecord], algorithms: Sequence[str]) -> dict:
-    out = {}
-    for name in algorithms:
-        covered = np.array([r.covered for r in records if r.algorithm == name], dtype=float)
-        runtimes = np.array([r.runtime_s for r in records if r.algorithm == name], dtype=float)
-        stderr = float(covered.std(ddof=1) / math.sqrt(len(covered))) if len(covered) > 1 else 0.0
-        out[name] = {
-            "mean_covered": float(covered.mean()) if len(covered) else None,
-            "stderr_covered": stderr,
-            "mean_runtime_s": float(runtimes.mean()) if len(runtimes) else None,
-        }
-    return out
 
 
 def build_result_document(
@@ -306,8 +204,11 @@ def build_result_document(
     return {
         "schema_version": SCHEMA_VERSION,
         "scenario": scenario_to_dict(scenario),
-        "summary": _summary(records, scenario.algorithms) if records else {},
-        "trials": [_record_to_dict(r) for r in records],
+        "summary": summarize(records, scenario.algorithms) if records else {},
+        # records, CDF series and sweep points are built for this document
+        # alone, so ``vars`` can skip the deep copy that makes ``asdict``
+        # cost about 30 us per record
+        "trials": [vars(r) for r in records],
         "cdf_covered": cdf_covered,
         "cdf_runtime": cdf_runtime,
         "sweep": sweep,
@@ -346,11 +247,7 @@ def _scenario_from_args(args) -> Scenario:
         overrides["strict_lq"] = True
     if getattr(args, "fixed_count", False):
         overrides["fixed_count"] = True
-    if overrides:
-        from dataclasses import replace
-
-        scenario = replace(scenario, **overrides)
-    return scenario
+    return replace(scenario, **overrides) if overrides else scenario
 
 
 def _env_radio_from_args(args):
@@ -408,26 +305,11 @@ def cmd_place(args) -> int:
         users = generate_users(scenario, trial_id=0)
     bracket = altitude_bracket(scenario.classes, scenario.env, scenario.radio)
     grid = AltitudeGrid(bracket.h_lo_m, bracket.h_hi_m, scenario.grid_points)
-    records = []
-    for name in scenario.algorithms:
-        res = run_algorithm(name, users, scenario, grid)
-        records.append(
-            TrialRecord(
-                trial_id=0,
-                algorithm=name,
-                total_users=len(users),
-                covered=res.covered_count,
-                per_class_covered=dict(res.per_class_covered),
-                h_m=res.h_m,
-                x_d_m=res.x_d_m,
-                y_d_m=res.y_d_m,
-                runtime_s=res.runtime_s,
-                master_seed=scenario.master_seed,
-            )
-        )
+    records = trial_records(scenario, grid, 0, users)
+    for r in records:
         print(
-            f"{name}: covered {res.covered_count}/{len(users)} at "
-            f"h={res.h_m:.1f} m, center=({res.x_d_m:.1f}, {res.y_d_m:.1f})"
+            f"{r.algorithm}: covered {r.covered}/{r.total_users} at "
+            f"h={r.h_m:.1f} m, center=({r.x_d_m:.1f}, {r.y_d_m:.1f})"
         )
     doc = build_result_document(scenario, records)
     path = _write_json(doc, Path(args.out))
@@ -445,14 +327,8 @@ def cmd_simulate(args) -> int:
     for name in scenario.algorithms:
         covered_series = cdf([r.covered for r in records if r.algorithm == name])
         runtime_series = cdf([r.runtime_s for r in records if r.algorithm == name])
-        cdf_covered[name] = {
-            "values": list(covered_series.values),
-            "probabilities": list(covered_series.probabilities),
-        }
-        cdf_runtime[name] = {
-            "values": list(runtime_series.values),
-            "probabilities": list(runtime_series.probabilities),
-        }
+        cdf_covered[name] = vars(covered_series)
+        cdf_runtime[name] = vars(runtime_series)
         _write_cdf_csv(covered_series, out_dir / f"cdf_covered_{name}.csv")
         _write_cdf_csv(runtime_series, out_dir / f"cdf_runtime_{name}.csv")
     doc = build_result_document(scenario, records, cdf_covered, cdf_runtime)
@@ -474,21 +350,12 @@ def cmd_sweep(args) -> int:
     points = sweep_rho(scenario, rhos)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sweep_rows = [
-        {
-            "rho": p.rho,
-            "algorithm": p.algorithm,
-            "mean_covered": p.mean_covered,
-            "stderr": p.stderr,
-        }
-        for p in points
-    ]
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho", "algorithm", "mean_covered", "stderr"])
         for p in points:
             writer.writerow([repr(p.rho), p.algorithm, repr(p.mean_covered), repr(p.stderr)])
-    doc = build_result_document(scenario, sweep=sweep_rows)
+    doc = build_result_document(scenario, sweep=[vars(p) for p in points])
     path = _write_json(doc, out_dir)
     print(f"wrote {out_dir / 'sweep.csv'}")
     print(f"wrote {path}")

@@ -118,36 +118,6 @@ def evaluate_center(
     )
 
 
-def circle_intersections(c1, r1: float, c2, r2: float):
-    """Intersection points of two circle boundaries: (), (p,) or (p1, p2).
-
-    Concentric, disjoint, and strictly nested circles yield no points;
-    tangency yields one.
-    """
-    if r1 < 0.0 or r2 < 0.0:
-        raise InputError("circle radii must be >= 0")
-    x1, y1 = c1
-    x2, y2 = c2
-    dx, dy = x2 - x1, y2 - y1
-    d2 = dx * dx + dy * dy
-    if d2 == 0.0:
-        return ()
-    d = math.sqrt(d2)
-    if d > r1 + r2 or d < abs(r1 - r2):
-        return ()
-    along = (r1 * r1 - r2 * r2 + d2) / (2.0 * d)
-    h2 = r1 * r1 - along * along
-    if h2 < 0.0:  # only reachable through rounding at near-tangency
-        h2 = 0.0
-    bx = x1 + along * dx / d
-    by = y1 + along * dy / d
-    if h2 == 0.0:
-        return ((bx, by),)
-    h = math.sqrt(h2)
-    ux, uy = -dy / d, dx / d
-    return ((bx + h * ux, by + h * uy), (bx - h * ux, by - h * uy))
-
-
 def _intersection_blocks(pts: np.ndarray, radii: np.ndarray, rows: int):
     """Boundary intersections of crossing pairs ``i < j``, ``rows`` values of i at a time.
 

@@ -31,18 +31,11 @@ ANGLE_TOL_DEG = 1e-4
 MAX_RADIUS_M = 1e7
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class CoverageDisc:
-    """Coverage disc of one class at some altitude."""
-
-    class_id: int
-    radius_m: float
-
-    def __post_init__(self) -> None:
-        if not self.radius_m >= 0.0:
-            raise InputError("disc radius must be >= 0")
+#: Elevation search interval (0, 90) degrees, kept off the singular ends.
+_ELEVATION_EPS_DEG = 1e-9
+#: One-degree scan that catches a gain peak the golden-section search missed.
+_ELEVATION_SCAN_DEG = np.linspace(_ELEVATION_EPS_DEG, 90.0 - _ELEVATION_EPS_DEG, 91)
+_COS_GAIN_SCAN_DB = 20.0 * np.log10(np.cos(np.radians(_ELEVATION_SCAN_DEG)))
 
 
 @dataclass(frozen=True)
@@ -167,15 +160,26 @@ def optimal_elevation(env: Environment) -> float:
     along a fixed-angle ray the radius scales monotonically with
     ``20 log10(cos theta) - delta_db * p_los(theta)``, so maximizing that gain
     maximizes the radius for every threshold. Golden-section search on
-    (0, 90) degrees; the objective is unimodal there for sane constants.
+    (0, 90) degrees finds the peak when the gain has one. Some valid terrains
+    give two peaks, so a one-degree scan of the gain runs as well; when the
+    scan's best cell holds a higher gain away from the golden-section result,
+    that cell is searched instead.
     """
     delta_db = env.eta_los_db - env.eta_nlos_db
 
     def gain(theta_deg: float) -> float:
         return 20.0 * math.log10(math.cos(math.radians(theta_deg))) - delta_db * los_probability(theta_deg, env)
 
-    eps = 1e-9
-    return _golden_max(gain, eps, 90.0 - eps, ANGLE_TOL_DEG)
+    eps = _ELEVATION_EPS_DEG
+    theta = _golden_max(gain, eps, 90.0 - eps, ANGLE_TOL_DEG)
+    p_los = 1.0 / (1.0 + env.a * np.exp(-env.b * (_ELEVATION_SCAN_DEG - env.a)))
+    scan = _COS_GAIN_SCAN_DB - delta_db * p_los
+    i = int(np.argmax(scan))
+    lo = float(_ELEVATION_SCAN_DEG[max(i - 1, 0)])
+    hi = float(_ELEVATION_SCAN_DEG[min(i + 1, len(scan) - 1)])
+    if scan[i] > gain(theta) and not lo <= theta <= hi:
+        theta = _golden_max(gain, lo, hi, ANGLE_TOL_DEG)
+    return theta
 
 
 def optimal_pair(l_th_db: float, env: Environment, radio: RadioConfig) -> OptimalPoint:
@@ -203,11 +207,3 @@ def altitude_bracket(classes, env: Environment, radio: RadioConfig) -> AltitudeB
     lo = optimal_pair(cs[0].l_th_db, env, radio).h_star_m
     hi = optimal_pair(cs[-1].l_th_db, env, radio).h_star_m
     return AltitudeBracket(h_lo_m=lo, h_hi_m=hi)
-
-
-def coverage_discs(h_m: float, classes, env: Environment, radio: RadioConfig) -> tuple[CoverageDisc, ...]:
-    """Per-class coverage discs at one altitude, in ascending-threshold order."""
-    return tuple(
-        CoverageDisc(c.id, coverage_radius(h_m, c.l_th_db, env, radio))
-        for c in sort_classes(classes)
-    )

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .algorithms import (
+    MAX_GRID_POINTS,
     AlgorithmResult,
     AltitudeGrid,
     exhaustive_search,
@@ -24,7 +25,7 @@ from .algorithms import (
     mwa_place,
 )
 from .channel import Environment, QosClass, RadioConfig, sort_classes
-from .errors import InputError
+from .errors import InfeasibleThresholdError, InputError
 from .placement import User
 from .radius import altitude_bracket
 
@@ -54,8 +55,8 @@ class Scenario:
     strict_lq: bool = False
 
     def __post_init__(self) -> None:
-        if not (self.width_km > 0.0 and self.height_km > 0.0):
-            raise InputError("area dimensions must be positive")
+        if not (0.0 < self.width_km < math.inf and 0.0 < self.height_km < math.inf):
+            raise InputError("area dimensions must be positive and finite")
         object.__setattr__(self, "classes", sort_classes(self.classes))
         if self.trials < 1:
             raise InputError("trials must be >= 1")
@@ -68,10 +69,10 @@ class Scenario:
         if unknown:
             raise InputError(f"unknown algorithms: {unknown} (choose from {KNOWN_ALGORITHMS})")
         object.__setattr__(self, "algorithms", algs)
-        if self.grid_points < 1:
-            raise InputError("grid_points must be >= 1")
-        if self.rho is not None and not self.rho > 0.0:
-            raise InputError("rho must be positive")
+        if not 1 <= self.grid_points <= MAX_GRID_POINTS:
+            raise InputError(f"grid_points must be in [1, {MAX_GRID_POINTS}]")
+        if self.rho is not None and not 0.0 < self.rho < math.inf:
+            raise InputError("rho must be positive and finite")
 
     @property
     def area_km2(self) -> float:
@@ -87,8 +88,8 @@ class Scenario:
         The second (less demanding) class gets the complement of the first, so
         the densities sum to the original total exactly.
         """
-        if not rho > 0.0:
-            raise InputError(f"rho must be positive, got {rho}")
+        if not 0.0 < rho < math.inf:
+            raise InputError(f"rho must be positive and finite, got {rho}")
         if len(self.classes) != 2:
             raise InputError("density-ratio scenarios need exactly two classes")
         total = self.total_lambda_per_km2
@@ -212,39 +213,48 @@ def run_algorithm(
     raise InputError(f"unknown algorithm {name!r}")
 
 
+def trial_records(
+    scenario: Scenario, grid: AltitudeGrid, trial_id: int, users: Sequence[User]
+) -> list[TrialRecord]:
+    """Run every requested algorithm on one trial's users; one record each, in order."""
+    records = []
+    for name in scenario.algorithms:
+        res = run_algorithm(name, users, scenario, grid)
+        records.append(
+            TrialRecord(
+                trial_id=trial_id,
+                algorithm=name,
+                total_users=len(users),
+                covered=res.covered_count,
+                per_class_covered=dict(sorted(res.per_class_covered.items())),
+                h_m=res.h_m,
+                x_d_m=res.x_d_m,
+                y_d_m=res.y_d_m,
+                runtime_s=res.runtime_s,
+                master_seed=scenario.master_seed,
+            )
+        )
+    return records
+
+
 def run_trials(scenario: Scenario, workers: int = 1) -> list[TrialRecord]:
     """Run every requested algorithm on every trial's (shared) user set.
 
     Records appear in (trial, algorithm) order. Reported runtimes cover the
     solve only, never user generation. Any per-trial failure aborts the run
-    with a diagnostic naming the seed that reproduces it.
+    with a diagnostic naming the seed that reproduces it; input and
+    infeasibility errors keep their type, anything else becomes a
+    ``RuntimeError``.
     """
     bracket = altitude_bracket(scenario.classes, scenario.env, scenario.radio)
     grid = AltitudeGrid(bracket.h_lo_m, bracket.h_hi_m, scenario.grid_points)
 
     def one_trial(trial_id: int) -> list[TrialRecord]:
         try:
-            users = generate_users(scenario, trial_id)
-            records = []
-            for name in scenario.algorithms:
-                res = run_algorithm(name, users, scenario, grid)
-                records.append(
-                    TrialRecord(
-                        trial_id=trial_id,
-                        algorithm=name,
-                        total_users=len(users),
-                        covered=res.covered_count,
-                        per_class_covered=dict(res.per_class_covered),
-                        h_m=res.h_m,
-                        x_d_m=res.x_d_m,
-                        y_d_m=res.y_d_m,
-                        runtime_s=res.runtime_s,
-                        master_seed=scenario.master_seed,
-                    )
-                )
-            return records
+            return trial_records(scenario, grid, trial_id, generate_users(scenario, trial_id))
         except Exception as exc:
-            raise RuntimeError(
+            domain = isinstance(exc, (InputError, InfeasibleThresholdError))
+            raise (type(exc) if domain else RuntimeError)(
                 f"trial {trial_id} failed (master_seed={scenario.master_seed}, "
                 f"trial_id={trial_id}): {exc}"
             ) from exc
@@ -255,6 +265,21 @@ def run_trials(scenario: Scenario, workers: int = 1) -> list[TrialRecord]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(one_trial, range(scenario.trials)))
     return [rec for trial in nested for rec in trial]
+
+
+def summarize(records: Sequence[TrialRecord], algorithms: Sequence[str]) -> dict[str, dict]:
+    """Per algorithm: mean covered users, its standard error, mean solve time."""
+    out = {}
+    for name in algorithms:
+        rows = [r for r in records if r.algorithm == name]
+        covered = np.array([r.covered for r in rows], dtype=float)
+        stderr = float(covered.std(ddof=1) / math.sqrt(len(covered))) if len(covered) > 1 else 0.0
+        out[name] = {
+            "mean_covered": float(covered.mean()),
+            "stderr_covered": stderr,
+            "mean_runtime_s": float(np.mean([r.runtime_s for r in rows])),
+        }
+    return out
 
 
 def cdf(values) -> CdfSeries:
@@ -278,16 +303,6 @@ def sweep_rho(scenario: Scenario, rho_values, workers: int = 1) -> list[SweepPoi
     points: list[SweepPoint] = []
     for rho in rhos:
         scn = scenario.with_rho(rho)
-        records = run_trials(scn, workers=workers)
-        for name in scn.algorithms:
-            covered = np.array([r.covered for r in records if r.algorithm == name], dtype=float)
-            stderr = float(covered.std(ddof=1) / math.sqrt(len(covered))) if len(covered) > 1 else 0.0
-            points.append(
-                SweepPoint(
-                    rho=rho,
-                    algorithm=name,
-                    mean_covered=float(covered.mean()),
-                    stderr=stderr,
-                )
-            )
+        for name, stats in summarize(run_trials(scn, workers=workers), scn.algorithms).items():
+            points.append(SweepPoint(rho, name, stats["mean_covered"], stats["stderr_covered"]))
     return points

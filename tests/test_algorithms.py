@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 import uavplace as up
 from uavplace import algorithms
+from uavplace.algorithms import MAX_GRID_POINTS
 from uavplace.errors import InputError
 from uavplace.radius import _golden_max
 
@@ -49,6 +50,8 @@ class TestAltitudeGrid:
             up.AltitudeGrid(600.0, 700.0, 0)
         with pytest.raises(InputError):
             up.AltitudeGrid(0.0, 700.0, 9)
+        with pytest.raises(InputError):
+            up.AltitudeGrid(600.0, 700.0, MAX_GRID_POINTS + 1)
 
 
 class TestRadiusSlope:

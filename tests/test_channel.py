@@ -173,31 +173,6 @@ class TestMeanPathLoss:
             assert all(b > a for a, b in zip(losses, losses[1:]))
 
 
-class TestPolarForm:
-    def test_reference_values(self, urban, radio):
-        assert up.mean_path_loss_polar(42.44, 707.1, urban, radio) == pytest.approx(100.0, abs=0.1)
-        assert up.mean_path_loss_polar(42.44, 999.0, urban, radio) == pytest.approx(103.0, abs=0.1)
-
-    def test_matches_cartesian(self, urban, radio):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            h = rng.uniform(1.0, 5000.0)
-            r = rng.uniform(1.0, 5000.0)
-            theta = math.degrees(math.atan2(h, r))
-            assert abs(
-                up.mean_path_loss_polar(theta, r, urban, radio)
-                - up.mean_path_loss(h, r, urban, radio)
-            ) < 1e-9
-
-    def test_domain(self, urban, radio):
-        with pytest.raises(InputError):
-            up.mean_path_loss_polar(90.0, 100.0, urban, radio)
-        with pytest.raises(InputError):
-            up.mean_path_loss_polar(0.0, 100.0, urban, radio)
-        with pytest.raises(InputError):
-            up.mean_path_loss_polar(45.0, 0.0, urban, radio)
-
-
 class TestLinkBudget:
     def test_loss_threshold_values(self, radio):
         assert up.loss_threshold(radio, 50.0) == 100.0

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import uavplace as up
+from uavplace.algorithms import MAX_GRID_POINTS
 from uavplace.cli import load_scenario, load_users_csv, main
 from uavplace.errors import InputError
 
@@ -45,6 +46,16 @@ def scenario_file(tmp_path):
     path = tmp_path / "scenario.ini"
     path.write_text(BASE_SCENARIO)
     return path
+
+
+def write_scenario(tmp_path, text):
+    path = tmp_path / "s.ini"
+    path.write_text(text)
+    return path
+
+
+def zero_density_scenario(tmp_path):
+    return write_scenario(tmp_path, BASE_SCENARIO.replace("lambda_per_km2 = 5.5", "lambda_per_km2 = 0"))
 
 
 def read_result(out_dir):
@@ -153,6 +164,27 @@ class TestScenarioParsing:
         with pytest.raises(InputError, match="not found"):
             load_scenario(tmp_path / "nope.ini")
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "preset = urban",
+                "a = 9.61\nb = 0.16\neta_los_db = 1\neta_nlos_db = inf",
+                "environment constants must be finite",
+            ),
+            ("fc_hz = 2e9", "fc_hz = inf", "radio parameters must be finite"),
+            ("width_km = 3", "width_km = inf", "area dimensions must be positive and finite"),
+            ("lambda_per_km2 = 5.5", "lambda_per_km2 = inf", "lambda_per_km2 must be finite"),
+            ("grid_points = 9", f"grid_points = {MAX_GRID_POINTS + 1}", "grid_points must be in"),
+            ("grid_points = 9", "grid_points = 9\nrho = inf", "rho must be positive and finite"),
+        ],
+        ids=["eta_nlos_db", "fc_hz", "width_km", "lambda_per_km2", "grid_points", "rho"],
+    )
+    def test_out_of_range_values_exit_2(self, tmp_path, capsys, old, new, message):
+        path = write_scenario(tmp_path, BASE_SCENARIO.replace(old, new, 1))
+        assert main(["place", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestUsersCsv:
     def test_load(self, tmp_path):
@@ -255,6 +287,23 @@ class TestRadiusCommand:
         assert code == 2
         assert "--fc-hz" in capsys.readouterr().err
 
+    def test_non_finite_constant_exit_code(self, capsys):
+        code = main(
+            [
+                "radius",
+                "--a", "9.61",
+                "--b", "0.16",
+                "--eta-los-db", "1",
+                "--eta-nlos-db", "inf",
+                "--fc-hz", "2e9",
+                "--pt-dbm", "30",
+                "--pn-dbm", "-120",
+                "--gamma-th-db", "50",
+            ]
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestPlaceCommand:
     def test_one_user_csv(self, scenario_file, tmp_path, capsys):
@@ -343,6 +392,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--scenario", str(scenario_file), "--out", str(out_b)]) == 0
         assert strip_runtimes(read_result(out_a)) == strip_runtimes(read_result(out_b))
 
+    def test_zero_density_exit_2(self, tmp_path, capsys):
+        # mwa needs a positive density; the error names the failing trial
+        path = zero_density_scenario(tmp_path)
+        assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "master_seed=11, trial_id=0" in err and "positive density" in err
+
     def test_strict_lq_flag_recorded(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
@@ -374,6 +430,14 @@ class TestSweepCommand:
             for r in rows[1:]
         ]
         assert parsed == doc["sweep"]
+
+    def test_zero_density_exit_2(self, tmp_path, capsys):
+        path = zero_density_scenario(tmp_path)
+        code = main(
+            ["sweep", "--scenario", str(path), "--out", str(tmp_path / "out"), "--rho", "1"]
+        )
+        assert code == 2
+        assert "positive density" in capsys.readouterr().err
 
     def test_bad_rho_list(self, scenario_file, tmp_path, capsys):
         code = main(

@@ -66,16 +66,19 @@ class TestEvaluateCenter:
         assert sol.covered_flags == (True, False)
 
 
+def intersections(c1, r1, c2, r2):
+    return _pairwise_intersections(np.array([c1, c2], dtype=float), np.array([r1, r2], dtype=float))
+
+
 class TestCircleIntersections:
     def test_external_tangency(self):
-        pts = up.circle_intersections((0.0, 0.0), 1.0, (2.0, 0.0), 1.0)
-        assert pts == ((1.0, 0.0),)
+        assert intersections((0.0, 0.0), 1.0, (2.0, 0.0), 1.0).tolist() == [[1.0, 0.0]] * 2
 
     def test_two_points(self):
-        pts = up.circle_intersections((0.0, 0.0), 1.0, (1.0, 0.0), 1.0)
+        pts = intersections((0.0, 0.0), 1.0, (1.0, 0.0), 1.0)
         assert len(pts) == 2
-        ys = sorted(p[1] for p in pts)
-        assert pts[0][0] == pytest.approx(0.5)
+        ys = sorted(pts[:, 1])
+        assert pts[:, 0] == pytest.approx(0.5)
         assert ys[0] == pytest.approx(-math.sqrt(3.0) / 2.0)
         assert ys[1] == pytest.approx(math.sqrt(3.0) / 2.0)
         for x, y in pts:  # substitution into both circle equations
@@ -83,33 +86,20 @@ class TestCircleIntersections:
             assert (x - 1.0) ** 2 + y * y == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint(self):
-        assert up.circle_intersections((0.0, 0.0), 1.0, (5.0, 0.0), 1.0) == ()
+        assert intersections((0.0, 0.0), 1.0, (5.0, 0.0), 1.0).shape == (0, 2)
 
     def test_concentric(self):
-        assert up.circle_intersections((0.0, 0.0), 1.0, (0.0, 0.0), 2.0) == ()
+        assert intersections((0.0, 0.0), 1.0, (0.0, 0.0), 2.0).shape == (0, 2)
 
     def test_contained(self):
-        assert up.circle_intersections((0.0, 0.0), 5.0, (1.0, 0.0), 1.0) == ()
+        assert intersections((0.0, 0.0), 5.0, (1.0, 0.0), 1.0).shape == (0, 2)
 
     def test_negative_radius(self):
+        users = [up.User(0.0, 0.0, 1), up.User(1.0, 0.0, 2)]
         with pytest.raises(InputError):
-            up.circle_intersections((0.0, 0.0), -1.0, (1.0, 0.0), 1.0)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            pts = rng.uniform(0, 100, (2, 2))
-            radii = rng.uniform(0, 80, 2)
-            scalar = up.circle_intersections(tuple(pts[0]), radii[0], tuple(pts[1]), radii[1])
-            vector = _pairwise_intersections(pts, radii)
-            if not scalar:
-                assert len(vector) == 0
-                continue
-            want = sorted(scalar if len(scalar) == 2 else scalar * 2)
-            got = sorted(map(tuple, vector))
-            for (wx, wy), (gx, gy) in zip(want, got):
-                assert gx == pytest.approx(wx, abs=1e-9)
-                assert gy == pytest.approx(wy, abs=1e-9)
+            _user_arrays(users, {1: -1.0, 2: 1.0})
+        with pytest.raises(InputError):
+            up.solve_exact(users, {1: -1.0, 2: 1.0})
 
 
 class TestSolveExact:

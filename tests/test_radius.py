@@ -81,6 +81,15 @@ class TestOptimalElevation:
                 continue
             assert ray_radius(theta, 100.0, urban, radio) <= r_star
 
+    def test_two_peak_terrain_finds_global_peak(self, radio):
+        # the gain has a local peak at 0 deg and the global one near 77.8 deg,
+        # 18.5 dB higher; golden-section search alone returns about 0 deg
+        env = up.Environment(a=56.94, b=0.319, eta_los_db=0.0, eta_nlos_db=34.4)
+        theta_star = up.optimal_elevation(env)
+        assert theta_star == pytest.approx(77.79, abs=0.01)
+        radii = [ray_radius(t, 100.0, env, radio) for t in np.linspace(0.001, 89.999, 900)]
+        assert ray_radius(theta_star, 100.0, env, radio) >= max(radii)
+
 
 class TestOptimalPair:
     def test_pair_at_100(self, urban, radio):
@@ -138,12 +147,6 @@ class TestAltitudeBracket:
         bad = up.QosClass.from_radio(1, 200.0, 1.0, radio)  # l_th -50
         with pytest.raises(InfeasibleThresholdError):
             up.altitude_bracket([bad], urban, radio)
-
-    def test_coverage_discs(self, two_classes, urban, radio):
-        discs = up.coverage_discs(700.0, two_classes, urban, radio)
-        assert [d.class_id for d in discs] == [1, 2]
-        for d, c in zip(discs, two_classes):
-            assert d.radius_m == up.coverage_radius(700.0, c.l_th_db, urban, radio)
 
 
 def _single_peak(values, tol):

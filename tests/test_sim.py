@@ -226,3 +226,5 @@ class TestSweepRho:
             up.sweep_rho(base_scenario, [])
         with pytest.raises(InputError):
             up.sweep_rho(base_scenario, [1.0, -2.0])
+        with pytest.raises(InputError):
+            up.sweep_rho(base_scenario, [float("inf")])
