@@ -37,8 +37,6 @@ from .placement import (
     PlacementSolution,
     User,
     evaluate_center,
-    export_bigm_model,
-    grid_oracle,
     solve_exact,
 )
 from .radius import (
@@ -89,9 +87,7 @@ __all__ = [
     "coverage_radius_profile",
     "evaluate_center",
     "exhaustive_search",
-    "export_bigm_model",
     "generate_users",
-    "grid_oracle",
     "loss_threshold",
     "los_probability",
     "lq_place",

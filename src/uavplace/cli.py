@@ -286,6 +286,11 @@ def cmd_radius(args) -> int:
         raise InputError("one of --l-th-db or --gamma-th-db is required")
     if args.l_th_db is not None and args.gamma_th_db is not None:
         raise InputError("--l-th-db and --gamma-th-db are mutually exclusive")
+    for flag, value in (("--l-th-db", args.l_th_db), ("--gamma-th-db", args.gamma_th_db)):
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
+    if args.h_m is not None and not 0.0 < args.h_m < math.inf:
+        raise InputError(f"--h-m must be positive and finite, got {args.h_m}")
     l_th = args.l_th_db if args.l_th_db is not None else loss_threshold(radio, args.gamma_th_db)
     pair = optimal_pair(l_th, env, radio)
     print(f"l_th_db = {l_th!r}")

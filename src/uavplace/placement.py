@@ -36,7 +36,7 @@ from .errors import InputError
 #: boundaries still count both defining users despite rounding.
 GEOM_SLACK = 1e-6
 
-#: Cap on candidate-or-grid points scored per vectorized block.
+#: Cap on candidate points scored per vectorized block.
 _BLOCK_POINTS = 262_144
 
 #: Below this many users ``solve_exact`` scores every candidate directly: the
@@ -303,84 +303,3 @@ def solve_exact(users: Sequence[User], radius_map: RadiusMap) -> PlacementSoluti
     x, y = solve(pts, radii, eff2)
     return evaluate_center(x, y, users, radius_map)
 
-
-def grid_oracle(
-    users: Sequence[User],
-    radius_map: RadiusMap,
-    step: float,
-    bounds,
-) -> PlacementSolution:
-    """Best center over a regular grid spanning ``bounds`` = (x0, y0, x1, y1).
-
-    Exhaustive but resolution-limited: the returned count lower-bounds the
-    true optimum. Ties resolve to the lexicographically smallest grid point.
-    """
-    if not step > 0.0:
-        raise InputError(f"grid step must be positive, got {step}")
-    x0, y0, x1, y1 = (float(v) for v in bounds)
-    if x1 < x0 or y1 < y0:
-        raise InputError("bounds must satisfy x1 >= x0 and y1 >= y0")
-    pts, radii = _user_arrays(users, radius_map)
-    eff2 = (radii * (1.0 + GEOM_SLACK)) ** 2
-
-    # Half-step tolerance keeps the far edge in the grid when it divides evenly.
-    nx = int(math.floor((x1 - x0) / step + 1e-9)) + 1
-    ny = int(math.floor((y1 - y0) / step + 1e-9)) + 1
-    ys = y0 + step * np.arange(ny)
-
-    best_count = -1
-    best_xy = (x0, y0)
-    rows_per_block = max(1, _BLOCK_POINTS // ny)
-    for rstart in range(0, nx, rows_per_block):
-        xs = x0 + step * np.arange(rstart, min(rstart + rows_per_block, nx))
-        block = np.column_stack(
-            (np.repeat(xs, ny), np.tile(ys, len(xs)))
-        )  # lexicographic scan order
-        counts = _count_block(block, pts, eff2)
-        top = int(counts.max()) if len(counts) else -1
-        if top > best_count:
-            k = int(np.argmax(counts))  # first hit = lexicographically smallest
-            best_count = top
-            best_xy = (float(block[k, 0]), float(block[k, 1]))
-    return evaluate_center(best_xy[0], best_xy[1], users, radius_map)
-
-
-def export_bigm_model(
-    users: Sequence[User], radius_map: RadiusMap, bounds=None
-) -> str:
-    """Plain-text big-M model of the placement problem, for external solvers.
-
-    One ``dist`` line per user encodes
-    ``sqrt((x_u - x)^2 + (y_u - y)^2) <= radius + M * (1 - u_<id>)`` with
-    binary ``u_<id>``; the objective is to maximize the sum of the binaries.
-    ``M`` is the bounds-rectangle diagonal plus the largest radius, the
-    smallest trivially safe constant. Default bounds: the user bounding box
-    inflated by the largest radius.
-    """
-    if not users:
-        raise InputError("at least one user is required")
-    pts, radii = _user_arrays(users, radius_map)
-    rmax = float(radii.max())
-    if bounds is None:
-        bounds = (
-            float(pts[:, 0].min()) - rmax,
-            float(pts[:, 1].min()) - rmax,
-            float(pts[:, 0].max()) + rmax,
-            float(pts[:, 1].max()) + rmax,
-        )
-    x0, y0, x1, y1 = (float(v) for v in bounds)
-    big_m = math.hypot(x1 - x0, y1 - y0) + rmax
-    lines = [
-        "# single-center max-coverage model (big-M form)",
-        "# variables: center (x, y) within the bounds below; one binary u_<id> per user",
-        "# objective: maximize sum of u_<id>",
-        "# dist <user_id> <x_u> <y_u> <radius> <M> encodes:",
-        "#   sqrt((x_u - x)^2 + (y_u - y)^2) <= radius + M * (1 - u_<id>)",
-        f"bounds x {x0!r} {x1!r}",
-        f"bounds y {y0!r} {y1!r}",
-    ]
-    lines.extend(
-        f"dist {i} {float(pts[i, 0])!r} {float(pts[i, 1])!r} {float(radii[i])!r} {big_m!r}"
-        for i in range(len(users))
-    )
-    return "\n".join(lines) + "\n"

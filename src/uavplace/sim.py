@@ -31,6 +31,11 @@ from .radius import altitude_bracket
 
 KNOWN_ALGORITHMS = ("es", "mwa", "lq")
 
+#: Cap on the expected users per trial (total density times area), far above
+#: what exact placement can handle; larger or non-finite products cannot be
+#: drawn or allocated.
+MAX_EXPECTED_USERS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -58,6 +63,12 @@ class Scenario:
         if not (0.0 < self.width_km < math.inf and 0.0 < self.height_km < math.inf):
             raise InputError("area dimensions must be positive and finite")
         object.__setattr__(self, "classes", sort_classes(self.classes))
+        expected = self.total_lambda_per_km2 * self.area_km2
+        if not expected <= MAX_EXPECTED_USERS:
+            raise InputError(
+                f"expected user count (density times area) must be at most "
+                f"{MAX_EXPECTED_USERS:,}, got {expected:.6g}"
+            )
         if self.trials < 1:
             raise InputError("trials must be >= 1")
         if not 0 <= self.master_seed < 2**64:

@@ -15,6 +15,7 @@ from scipy import stats as scipy_stats
 from scipy.optimize import brentq
 
 import uavplace as up
+from oracles import grid_oracle
 from uavplace.radius import _golden_max
 
 SEED_TRIALS = 2026
@@ -123,7 +124,7 @@ def test_criterion_4_oracle_equivalence():
         ]
         radius_map = {1: float(rng.uniform(100, 500)), 2: float(rng.uniform(100, 500))}
         exact = up.solve_exact(users, radius_map).covered_count
-        grid = up.grid_oracle(users, radius_map, 1.0, (0, 0, 1000, 1000)).covered_count
+        grid = grid_oracle(users, radius_map, 1.0, (0, 0, 1000, 1000)).covered_count
         equal += exact == grid
     dominated = 0
     for _ in range(20):
@@ -136,7 +137,7 @@ def test_criterion_4_oracle_equivalence():
         ]
         radius_map = {1: float(rng.uniform(100, 500)), 2: float(rng.uniform(100, 500))}
         exact = up.solve_exact(users, radius_map).covered_count
-        grid = up.grid_oracle(users, radius_map, 1.0, (0, 0, 1000, 1000)).covered_count
+        grid = grid_oracle(users, radius_map, 1.0, (0, 0, 1000, 1000)).covered_count
         dominated += exact >= grid
     wall = time.perf_counter() - t0
     ok = equal == 200 and dominated == 20 and wall < 300.0

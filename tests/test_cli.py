@@ -165,24 +165,48 @@ class TestScenarioParsing:
             load_scenario(tmp_path / "nope.ini")
 
     @pytest.mark.parametrize(
-        "old, new, message",
+        "old, new, message, flags",
         [
             (
                 "preset = urban",
                 "a = 9.61\nb = 0.16\neta_los_db = 1\neta_nlos_db = inf",
                 "environment constants must be finite",
+                [],
             ),
-            ("fc_hz = 2e9", "fc_hz = inf", "radio parameters must be finite"),
-            ("width_km = 3", "width_km = inf", "area dimensions must be positive and finite"),
-            ("lambda_per_km2 = 5.5", "lambda_per_km2 = inf", "lambda_per_km2 must be finite"),
-            ("grid_points = 9", f"grid_points = {MAX_GRID_POINTS + 1}", "grid_points must be in"),
-            ("grid_points = 9", "grid_points = 9\nrho = inf", "rho must be positive and finite"),
+            ("fc_hz = 2e9", "fc_hz = inf", "radio parameters must be finite", []),
+            ("width_km = 3", "width_km = inf", "area dimensions must be positive and finite", []),
+            ("lambda_per_km2 = 5.5", "lambda_per_km2 = inf", "lambda_per_km2 must be finite", []),
+            ("grid_points = 9", f"grid_points = {MAX_GRID_POINTS + 1}", "grid_points must be in", []),
+            ("grid_points = 9", "grid_points = 9\nrho = inf", "rho must be positive and finite", []),
+            # the area overflows to inf although both sides are finite
+            (
+                "width_km = 3\nheight_km = 3",
+                "width_km = 1e300\nheight_km = 1e300",
+                "expected user count",
+                [],
+            ),
+            # about 1.1e13 users, which the fixed split would try to allocate
+            (
+                "width_km = 3\nheight_km = 3",
+                "width_km = 1e6\nheight_km = 1e6",
+                "expected user count",
+                ["--fixed-count"],
+            ),
         ],
-        ids=["eta_nlos_db", "fc_hz", "width_km", "lambda_per_km2", "grid_points", "rho"],
+        ids=[
+            "eta_nlos_db",
+            "fc_hz",
+            "width_km",
+            "lambda_per_km2",
+            "grid_points",
+            "rho",
+            "area_overflow",
+            "fixed_count_users",
+        ],
     )
-    def test_out_of_range_values_exit_2(self, tmp_path, capsys, old, new, message):
+    def test_out_of_range_values_exit_2(self, tmp_path, capsys, old, new, message, flags):
         path = write_scenario(tmp_path, BASE_SCENARIO.replace(old, new, 1))
-        assert main(["place", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+        assert main(["place", "--scenario", str(path), "--out", str(tmp_path), *flags]) == 2
         assert message in capsys.readouterr().err
 
 
@@ -217,6 +241,9 @@ class TestUsersCsv:
         path.write_text(f"x_m,y_m,class_id\n1,2,1\n{row}\n")
         with pytest.raises(InputError, match="line 3.*non-finite"):
             load_users_csv(path, {1})
+
+
+RADIUS_FLAGS = ["radius", "--preset", "urban", "--fc-hz", "2e9", "--pt-dbm", "30", "--pn-dbm", "-120"]
 
 
 class TestRadiusCommand:
@@ -275,6 +302,22 @@ class TestRadiusCommand:
         )
         assert code == 3
         assert "infeasible threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma-th-db", "nan"), ("--gamma-th-db", "inf"), ("--l-th-db", "inf")]
+    )
+    def test_non_finite_threshold_exit_2(self, capsys, flag, value):
+        code = main(RADIUS_FLAGS + [flag, value])
+        assert code == 2
+        assert f"{flag} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_bad_altitude_exit_2_before_output(self, capsys, value):
+        code = main(RADIUS_FLAGS + ["--l-th-db", "100", "--h-m", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--h-m must be positive and finite" in captured.err
 
     def test_missing_threshold_exit_code(self, capsys):
         code = main(

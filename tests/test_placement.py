@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uavplace as up
+from oracles import grid_oracle, grid_oracle_brute
 from uavplace import placement
 from uavplace.errors import InputError
 from uavplace.placement import _pairwise_intersections, _user_arrays
@@ -129,7 +130,7 @@ class TestSolveExact:
         ]
         radius_map = {1: 300.0, 2: 450.0}
         exact = up.solve_exact(users, radius_map)
-        oracle = up.grid_oracle(users, radius_map, 1.0, (0.0, 0.0, 1000.0, 1000.0))
+        oracle = grid_oracle(users, radius_map, 1.0, (0.0, 0.0, 1000.0, 1000.0))
         assert exact.covered_count == oracle.covered_count
 
     def test_dominates_grid_oracle(self):
@@ -137,7 +138,7 @@ class TestSolveExact:
         for _ in range(10):
             users, radius_map = random_instance(rng, int(rng.integers(1, 20)))
             exact = up.solve_exact(users, radius_map)
-            oracle = up.grid_oracle(users, radius_map, 25.0, (0.0, 0.0, 1000.0, 1000.0))
+            oracle = grid_oracle(users, radius_map, 25.0, (0.0, 0.0, 1000.0, 1000.0))
             assert exact.covered_count >= oracle.covered_count
 
     def test_monotone_in_radii(self):
@@ -279,55 +280,54 @@ def test_exact_count_properties(n, r1, r2, probes, data):
 
 class TestGridOracle:
     def test_single_user(self):
-        sol = up.grid_oracle([up.User(500.0, 500.0, 1)], {1: 50.0}, 25.0, (0, 0, 1000, 1000))
+        sol = grid_oracle([up.User(500.0, 500.0, 1)], {1: 50.0}, 25.0, (0, 0, 1000, 1000))
         assert sol.covered_count == 1
 
     def test_validation(self):
         users = [up.User(0.0, 0.0, 1)]
         with pytest.raises(InputError):
-            up.grid_oracle(users, {1: 10.0}, 0.0, (0, 0, 10, 10))
+            grid_oracle(users, {1: 10.0}, 0.0, (0, 0, 10, 10))
         with pytest.raises(InputError):
-            up.grid_oracle(users, {1: 10.0}, 1.0, (10, 0, 0, 10))
+            grid_oracle(users, {1: 10.0}, 1.0, (10, 0, 0, 10))
 
     def test_scan_order_tie_break(self):
         users = [up.User(0.0, 0.0, 1), up.User(10.0, 0.0, 1)]
-        sol = up.grid_oracle(users, {1: 1.0}, 10.0, (0, 0, 10, 10))
+        sol = grid_oracle(users, {1: 1.0}, 10.0, (0, 0, 10, 10))
         assert sol.covered_count == 1
         assert (sol.x_d_m, sol.y_d_m) == (0.0, 0.0)
 
+    def test_matches_brute_force_on_small_grids(self):
+        # lattice instances put grid points exactly on disc boundaries and
+        # make many count ties; the bounds do not always divide by the step
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            n = int(rng.integers(0, 12))
+            if rng.random() < 0.5:
+                pts = rng.integers(0, 6, (n, 2)) * 10.0
+                levels = rng.integers(0, 4, 2) * 10.0
+            else:
+                pts = rng.uniform(-20.0, 80.0, (n, 2))
+                levels = rng.uniform(0.0, 40.0, 2)
+            users = [
+                up.User(float(x), float(y), int(c))
+                for (x, y), c in zip(pts, rng.integers(1, 3, n))
+            ]
+            radius_map = {1: float(levels[0]), 2: float(levels[1])}
+            step = float(rng.choice([1.0, 2.5, 7.0, 10.0]))
+            bounds = (0.0, -5.0, 50.0, float(rng.choice([55.0, 60.0])))
+            want = grid_oracle_brute(users, radius_map, step, bounds)
+            assert grid_oracle(users, radius_map, step, bounds) == want
 
-class TestModelExport:
-    def test_format(self):
-        users = [up.User(0.0, 0.0, 1), up.User(100.0, 200.0, 2)]
-        radius_map = {1: 50.0, 2: 75.0}
-        text = up.export_bigm_model(users, radius_map)
-        lines = text.strip().splitlines()
-        bounds = [l for l in lines if l.startswith("bounds ")]
-        dists = [l for l in lines if l.startswith("dist ")]
-        assert len(bounds) == 2 and len(dists) == 2
 
-        bx = bounds[0].split()
-        by = bounds[1].split()
-        assert (bx[1], by[1]) == ("x", "y")
-        x0, x1 = float(bx[2]), float(bx[3])
-        y0, y1 = float(by[2]), float(by[3])
-        assert (x0, y0, x1, y1) == (-75.0, -75.0, 175.0, 275.0)
-
-        expected_m = math.hypot(x1 - x0, y1 - y0) + 75.0
-        for i, line in enumerate(dists):
-            tok = line.split()
-            assert int(tok[1]) == i
-            u = users[i]
-            assert (float(tok[2]), float(tok[3])) == (u.x_m, u.y_m)
-            assert float(tok[4]) == radius_map[u.class_id]
-            assert float(tok[5]) == pytest.approx(expected_m, rel=1e-12)
-
-    def test_custom_bounds(self):
-        users = [up.User(500.0, 500.0, 1)]
-        text = up.export_bigm_model(users, {1: 100.0}, bounds=(0.0, 0.0, 3000.0, 3000.0))
-        m = float(text.strip().splitlines()[-1].split()[5])
-        assert m == pytest.approx(math.hypot(3000.0, 3000.0) + 100.0, rel=1e-12)
-
-    def test_empty_users(self):
-        with pytest.raises(InputError):
-            up.export_bigm_model([], {1: 10.0})
+@settings(max_examples=40, deadline=None)
+@given(
+    users=st.lists(st.tuples(_coord, _coord, st.integers(1, 2)), min_size=1, max_size=30),
+    r1=st.floats(0.0, 300.0),
+    r2=st.floats(0.0, 300.0),
+    step=st.sampled_from([20.0, 25.0, 40.0]),
+)
+def test_exact_count_dominates_grid_oracle(users, r1, r2, step):
+    users = [up.User(*u) for u in users]
+    radius_map = {1: r1, 2: r2}
+    oracle = grid_oracle(users, radius_map, step, (0.0, 0.0, 600.0, 600.0))
+    assert up.solve_exact(users, radius_map).covered_count >= oracle.covered_count

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import uavplace as up
 from uavplace.errors import InfeasibleThresholdError, InputError
-from uavplace.radius import RADIUS_TOL_M
+from uavplace.radius import MAX_RADIUS_M, RADIUS_TOL_M
+
+#: The urban preset and the suburban, dense-urban and high-rise terrains.
+TERRAINS = (
+    up.URBAN,
+    up.Environment(4.88, 0.43, 0.1, 21.0),
+    up.Environment(12.08, 0.11, 1.6, 23.0),
+    up.Environment(27.23, 0.08, 2.3, 34.0),
+)
 
 
 def hp_radius(h, l_th, env, radio):
@@ -61,6 +71,36 @@ class TestCoverageRadius:
     def test_profile_validation(self, urban, radio):
         with pytest.raises(InputError):
             up.coverage_radius_profile([100.0, -1.0], 100.0, urban, radio)
+
+
+def assert_inverts_loss(h, l_th, r, env, radio):
+    """``r`` is the loss contour ``l_th`` at altitude ``h`` to within ``RADIUS_TOL_M``."""
+    if r == 0.0:
+        assert up.mean_path_loss(h, 0.0, env, radio) > l_th
+    elif r < MAX_RADIUS_M:
+        assert up.mean_path_loss(h, max(r - RADIUS_TOL_M, 0.0), env, radio) <= l_th
+        assert l_th < up.mean_path_loss(h, r + RADIUS_TOL_M, env, radio)
+
+
+_altitude = st.floats(1.0, 5000.0)
+_threshold = st.floats(60.0, 200.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(env=st.sampled_from(TERRAINS), h=_altitude, l_th=_threshold)
+def test_coverage_radius_inverts_mean_path_loss(radio, env, h, l_th):
+    assert_inverts_loss(h, l_th, up.coverage_radius(h, l_th, env, radio), env, radio)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    env=st.sampled_from(TERRAINS),
+    points=st.lists(st.tuples(_altitude, _threshold), min_size=1, max_size=20),
+)
+def test_coverage_radius_profile_inverts_mean_path_loss(radio, env, points):
+    h, l_th = (np.array(v) for v in zip(*points))
+    for args in zip(h, l_th, up.coverage_radius_profile(h, l_th, env, radio)):
+        assert_inverts_loss(*(float(v) for v in args), env, radio)
 
 
 class TestOptimalElevation:
