@@ -12,23 +12,17 @@ from .algorithms import (
     AltitudeGrid,
     exhaustive_search,
     lq_place,
-    mean_covered_density,
     mwa_altitude,
     mwa_place,
-    squared_radius_slope,
 )
 from .channel import (
-    SPEED_OF_LIGHT_M_S,
     URBAN,
     Environment,
-    PathLossConstants,
     QosClass,
     RadioConfig,
     loss_threshold,
     los_probability,
     mean_path_loss,
-    mean_snr,
-    path_loss_constants,
     sort_classes,
 )
 from .errors import InfeasibleThresholdError, InputError
@@ -71,11 +65,9 @@ __all__ = [
     "InfeasibleThresholdError",
     "InputError",
     "OptimalPoint",
-    "PathLossConstants",
     "PlacementSolution",
     "QosClass",
     "RadioConfig",
-    "SPEED_OF_LIGHT_M_S",
     "Scenario",
     "SweepPoint",
     "TrialRecord",
@@ -91,17 +83,13 @@ __all__ = [
     "loss_threshold",
     "los_probability",
     "lq_place",
-    "mean_covered_density",
     "mean_path_loss",
-    "mean_snr",
     "mwa_altitude",
     "mwa_place",
     "optimal_elevation",
     "optimal_pair",
-    "path_loss_constants",
     "run_trials",
     "solve_exact",
     "sort_classes",
-    "squared_radius_slope",
     "sweep_rho",
 ]

@@ -137,6 +137,17 @@ def _area_slope(h_m, classes, env, radio) -> float:
     )
 
 
+def _radius_table(hs, classes: Sequence[QosClass], env: Environment, radio: RadioConfig) -> np.ndarray:
+    # Radius of every class (rows, in ``classes`` order) at every altitude of
+    # ``hs`` (columns), from one joint contour solve.
+    return coverage_radius_profile(
+        np.tile(hs, len(classes)),
+        np.repeat([c.l_th_db for c in classes], len(hs)),
+        env,
+        radio,
+    ).reshape(len(classes), len(hs))
+
+
 def _illinois_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float) -> float:
     # Modified regula falsi on a sign-changing bracket: the end kept twice in
     # a row has its value halved, so both ends close in on the root.
@@ -183,13 +194,7 @@ def mwa_altitude(
         return lo
 
     hs = np.linspace(lo, hi, ALTITUDE_SCAN_POINTS)
-    # one joint contour solve for all (altitude, class) pairs of the scan
-    radii = coverage_radius_profile(
-        np.tile(hs, len(cs)),
-        np.repeat([c.l_th_db for c in cs], len(hs)),
-        env,
-        radio,
-    ).reshape(len(cs), len(hs))
+    radii = _radius_table(hs, cs, env, radio)
     weights = np.array([c.lambda_per_km2 * 1e-6 for c in cs])
     slope = weights @ _slope_profile(np.tile(hs, (len(cs), 1)), radii, env)
 
@@ -259,12 +264,10 @@ def exhaustive_search(
     t0 = time.perf_counter()
     cs = sort_classes(classes)
     alts = grid.altitudes()
-    profiles = {
-        c.id: coverage_radius_profile(np.asarray(alts), c.l_th_db, env, radio) for c in cs
-    }
+    table = _radius_table(alts, cs, env, radio)
     best = None
-    for i, h in enumerate(alts):
-        radii = {c.id: float(profiles[c.id][i]) for c in cs}
+    for h, column in zip(alts, table.T):
+        radii = {c.id: float(r) for c, r in zip(cs, column)}
         sol = solve_exact(users, radii) if users else _empty_solution()
         if best is None or sol.covered_count > best[1].covered_count:
             best = (h, sol, radii)

@@ -59,10 +59,9 @@ class RadioConfig:
     fc_hz: float
     pt_dbm: float
     pn_dbm: float
-    c_m_s: float = SPEED_OF_LIGHT_M_S
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.fc_hz, self.pt_dbm, self.pn_dbm, self.c_m_s))):
+        if not all(map(math.isfinite, (self.fc_hz, self.pt_dbm, self.pn_dbm))):
             raise InputError("radio parameters must be finite")
         if not self.fc_hz > 0.0:
             raise InputError("carrier frequency fc_hz must be positive")
@@ -94,7 +93,7 @@ class PathLossConstants:
 def path_loss_constants(env: Environment, radio: RadioConfig) -> PathLossConstants:
     """Derive the closed-form loss constants from terrain and radio settings."""
     delta = env.eta_los_db - env.eta_nlos_db
-    offset = 20.0 * math.log10(4.0 * math.pi * radio.fc_hz / radio.c_m_s) + env.eta_nlos_db
+    offset = 20.0 * math.log10(4.0 * math.pi * radio.fc_hz / SPEED_OF_LIGHT_M_S) + env.eta_nlos_db
     return PathLossConstants(delta_db=delta, offset_db=offset)
 
 

@@ -182,7 +182,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "width_km": s.width_km,
         "height_km": s.height_km,
         "environment": asdict(s.env),
-        "radio": {"fc_hz": s.radio.fc_hz, "pt_dbm": s.radio.pt_dbm, "pn_dbm": s.radio.pn_dbm},
+        "radio": asdict(s.radio),
         "classes": [asdict(c) for c in s.classes],
         "trials": s.trials,
         "master_seed": s.master_seed,
@@ -432,3 +432,7 @@ def main(argv=None) -> int:
 
 def console_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    console_entry()

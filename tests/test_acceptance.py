@@ -16,6 +16,8 @@ from scipy.optimize import brentq
 
 import uavplace as up
 from oracles import grid_oracle
+from uavplace.algorithms import mean_covered_density, squared_radius_slope
+from uavplace.channel import mean_snr
 from uavplace.radius import _golden_max
 
 SEED_TRIALS = 2026
@@ -156,14 +158,14 @@ def test_criterion_5_derivative_consistency(urban, radio, two_classes, bracket):
     for c in two_classes:
         for h in rng.uniform(bracket.h_lo_m + 1.0, bracket.h_hi_m - 1.0, 20):
             r = hp_radius(h, c.l_th_db, urban, radio)
-            analytic = c.lambda_per_km2 * up.squared_radius_slope(h, r, urban)
+            analytic = c.lambda_per_km2 * squared_radius_slope(h, r, urban)
             rp = hp_radius(h + step, c.l_th_db, urban, radio)
             rm = hp_radius(h - step, c.l_th_db, urban, radio)
             fd = c.lambda_per_km2 * (rp * rp - rm * rm) / (2.0 * step)
             worst = max(worst, abs(analytic - fd) / abs(fd))
     h_root = up.mwa_altitude(two_classes, urban, radio, bracket)
     h_direct = _golden_max(
-        lambda h: up.mean_covered_density(h, two_classes, urban, radio),
+        lambda h: mean_covered_density(h, two_classes, urban, radio),
         bracket.h_lo_m,
         bracket.h_hi_m,
         1e-4,
@@ -265,7 +267,7 @@ def test_criterion_9_property_suites(urban, radio, two_classes, bracket):
     rng = np.random.default_rng(9)
     for _ in range(200):
         h, r, gamma = rng.uniform(1, 3000), rng.uniform(0, 3000), rng.uniform(30, 70)
-        by_snr = up.mean_snr(h, r, urban, radio) >= gamma
+        by_snr = mean_snr(h, r, urban, radio) >= gamma
         by_loss = up.mean_path_loss(h, r, urban, radio) <= up.loss_threshold(radio, gamma)
         if by_snr != by_loss:
             failures.append("coverage predicate duality violated")

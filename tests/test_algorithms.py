@@ -3,13 +3,17 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import uavplace as up
 from uavplace import algorithms
-from uavplace.algorithms import MAX_GRID_POINTS
+from uavplace.algorithms import MAX_GRID_POINTS, mean_covered_density, squared_radius_slope
 from uavplace.errors import InputError
-from uavplace.radius import _golden_max
+from uavplace.radius import RADIUS_TOL_M, _golden_max
+
+from test_radius import TERRAINS
 
 
 def hp_radius(h, l_th, env, radio):
@@ -63,21 +67,21 @@ class TestRadiusSlope:
         for c in two_classes:
             for h in rng.uniform(bracket.h_lo_m + 1.0, bracket.h_hi_m - 1.0, 20):
                 r = hp_radius(h, c.l_th_db, urban, radio)
-                analytic = c.lambda_per_km2 * up.squared_radius_slope(h, r, urban)
+                analytic = c.lambda_per_km2 * squared_radius_slope(h, r, urban)
                 rp = hp_radius(h + step, c.l_th_db, urban, radio)
                 rm = hp_radius(h - step, c.l_th_db, urban, radio)
                 fd = c.lambda_per_km2 * (rp * rp - rm * rm) / (2.0 * step)
                 assert abs(analytic - fd) <= 0.01 * abs(fd)
 
     def test_empty_disc(self, urban):
-        assert up.squared_radius_slope(500.0, 0.0, urban) == 0.0
+        assert squared_radius_slope(500.0, 0.0, urban) == 0.0
 
 
 class TestMwaAltitude:
     def test_two_routes_agree(self, two_classes, urban, radio, bracket):
         h_root = up.mwa_altitude(two_classes, urban, radio, bracket)
         h_direct = _golden_max(
-            lambda h: up.mean_covered_density(h, two_classes, urban, radio),
+            lambda h: mean_covered_density(h, two_classes, urban, radio),
             bracket.h_lo_m,
             bracket.h_hi_m,
             1e-4,
@@ -209,6 +213,20 @@ class TestExhaustiveSearch:
         es = up.exhaustive_search([], two_classes, urban, radio, grid)
         assert es.covered_count == 0 and es.per_class_covered == {1: 0, 2: 0}
 
+    def test_one_contour_solve_for_all_classes(self, urban, radio, monkeypatch):
+        calls = []
+
+        def counting_profile(h_values, l_th_db, env, radio):
+            calls.append(len(h_values))
+            return up.coverage_radius_profile(h_values, l_th_db, env, radio)
+
+        monkeypatch.setattr(algorithms, "coverage_radius_profile", counting_profile)
+        classes = [up.QosClass.from_radio(i, g, 0.5, radio) for i, g in enumerate((53.0, 50.0, 47.0, 44.0), 1)]
+        br = up.altitude_bracket(classes, urban, radio)
+        users = seeded_users(np.random.default_rng(79), 20, class_ids=(1, 2, 3, 4))
+        up.exhaustive_search(users, classes, urban, radio, up.AltitudeGrid(br.h_lo_m, br.h_hi_m, 9))
+        assert calls == [4 * 10]
+
     def test_runtime_scales_with_grid(self, two_classes, urban, radio, bracket):
         users = seeded_users(np.random.default_rng(83), 120)
         full_grid = up.AltitudeGrid(bracket.h_lo_m, bracket.h_hi_m, 9)
@@ -228,6 +246,21 @@ class TestExhaustiveSearch:
         per_altitude = median_runtime(single) / len(single.altitudes())
         ratio = median_runtime(full_grid) / (n_alts * per_altitude)
         assert 0.5 <= ratio <= 2.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    env=st.sampled_from(TERRAINS),
+    thresholds=st.lists(st.floats(80.0, 120.0), min_size=2, max_size=4),
+    hs=st.lists(st.floats(10.0, 3000.0), min_size=1, max_size=12),
+)
+def test_radius_table_matches_coverage_radius(radio, env, thresholds, hs):
+    classes = [up.QosClass(i, 0.0, 1.0, l_th) for i, l_th in enumerate(thresholds)]
+    table = algorithms._radius_table(hs, classes, env, radio)
+    assert table.shape == (len(classes), len(hs))
+    for c, row in zip(classes, table):
+        for h, r in zip(hs, row):
+            assert r == pytest.approx(up.coverage_radius(h, c.l_th_db, env, radio), abs=2 * RADIUS_TOL_M)
 
 
 class TestMwaPlace:

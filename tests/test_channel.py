@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 import uavplace as up
+from uavplace.channel import SPEED_OF_LIGHT_M_S, PathLossConstants, mean_snr, path_loss_constants
 from uavplace.errors import InputError
 
 # Frozen oracle values, computed with the 50-digit evaluation below.
@@ -38,7 +39,7 @@ def hp_blend_loss(h, r):
 def blend_loss(h, r, env, radio):
     """Float mean loss via the two-state blend, an independent arithmetic route."""
     d = math.hypot(h, r)
-    fspl = 20.0 * math.log10(4.0 * math.pi * radio.fc_hz * d / radio.c_m_s)
+    fspl = 20.0 * math.log10(4.0 * math.pi * radio.fc_hz * d / SPEED_OF_LIGHT_M_S)
     theta = math.degrees(math.atan2(h, r))
     p = up.los_probability(theta, env)
     return (fspl + env.eta_los_db) * p + (fspl + env.eta_nlos_db) * (1.0 - p)
@@ -66,12 +67,12 @@ class TestTypes:
         assert (urban.eta_los_db, urban.eta_nlos_db) == (1.0, 20.0)
 
     def test_path_loss_constants(self, urban, radio):
-        k = up.path_loss_constants(urban, radio)
+        k = path_loss_constants(urban, radio)
         assert k.delta_db == -19.0
-        expected_offset = 20.0 * math.log10(4.0 * math.pi * 2e9 / up.SPEED_OF_LIGHT_M_S) + 20.0
+        expected_offset = 20.0 * math.log10(4.0 * math.pi * 2e9 / SPEED_OF_LIGHT_M_S) + 20.0
         assert k.offset_db == pytest.approx(expected_offset, rel=1e-15)
         with pytest.raises(InputError):
-            up.PathLossConstants(delta_db=1.0, offset_db=50.0)
+            PathLossConstants(delta_db=1.0, offset_db=50.0)
 
     def test_qos_class_threshold_identity(self, radio):
         c = up.QosClass.from_radio(1, 50.0, 5.5, radio)
@@ -141,7 +142,7 @@ class TestMeanPathLoss:
 
     def test_overhead_limit(self, urban, radio):
         h = 646.5
-        k = up.path_loss_constants(urban, radio)
+        k = path_loss_constants(urban, radio)
         single_term = (
             k.delta_db / (1.0 + urban.a * math.exp(-urban.b * (90.0 - urban.a)))
             + 20.0 * math.log10(h)
@@ -186,8 +187,8 @@ class TestLinkBudget:
         assert up.loss_threshold(r, 150.0) == 0.0
 
     def test_mean_snr_reference(self, urban, radio):
-        assert up.mean_snr(646.5, 707.1, urban, radio) == pytest.approx(50.0, abs=0.1)
-        assert up.mean_snr(913.0, 999.0, urban, radio) == pytest.approx(47.0, abs=0.1)
+        assert mean_snr(646.5, 707.1, urban, radio) == pytest.approx(50.0, abs=0.1)
+        assert mean_snr(913.0, 999.0, urban, radio) == pytest.approx(47.0, abs=0.1)
 
     def test_snr_loss_identity(self, urban, radio):
         rng = np.random.default_rng(3)
@@ -195,7 +196,7 @@ class TestLinkBudget:
             h = rng.uniform(1.0, 3000.0)
             r = rng.uniform(0.0, 3000.0)
             loss = up.mean_path_loss(h, r, urban, radio)
-            assert up.mean_snr(h, r, urban, radio) == radio.pt_dbm - loss - radio.pn_dbm
+            assert mean_snr(h, r, urban, radio) == radio.pt_dbm - loss - radio.pn_dbm
 
     def test_coverage_predicate_duality(self, urban, radio):
         rng = np.random.default_rng(13)
@@ -203,7 +204,7 @@ class TestLinkBudget:
             h = rng.uniform(1.0, 3000.0)
             r = rng.uniform(0.0, 3000.0)
             gamma = rng.uniform(30.0, 70.0)
-            covered_by_snr = up.mean_snr(h, r, urban, radio) >= gamma
+            covered_by_snr = mean_snr(h, r, urban, radio) >= gamma
             covered_by_loss = up.mean_path_loss(h, r, urban, radio) <= up.loss_threshold(
                 radio, gamma
             )

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,8 @@ class TestScenarioParsing:
                 "expected user count",
                 ["--fixed-count"],
             ),
+            # a finite class threshold whose optimal radius is about 1e309 m
+            ("gamma_th_db = 50", "gamma_th_db = -1e308", "coverage radius beyond", []),
         ],
         ids=[
             "eta_nlos_db",
@@ -202,12 +208,15 @@ class TestScenarioParsing:
             "rho",
             "area_overflow",
             "fixed_count_users",
+            "class_budget",
         ],
     )
     def test_out_of_range_values_exit_2(self, tmp_path, capsys, old, new, message, flags):
         path = write_scenario(tmp_path, BASE_SCENARIO.replace(old, new, 1))
         assert main(["place", "--scenario", str(path), "--out", str(tmp_path), *flags]) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestUsersCsv:
@@ -318,6 +327,25 @@ class TestRadiusCommand:
         assert code == 2
         assert captured.out == ""
         assert "--h-m must be positive and finite" in captured.err
+
+    @pytest.mark.parametrize("value", ["1e308", "400"])
+    def test_budget_beyond_model_range_exit_2(self, capsys, value):
+        # 400 dB gives r_star = 7.07e17 m; 1e308 dB overflows a plain power
+        code = main(RADIUS_FLAGS + ["--l-th-db", value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "coverage radius beyond" in captured.err
+
+    def test_python_m_runs_cli(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        command = [sys.executable, "-m", "uavplace.cli", *RADIUS_FLAGS, "--l-th-db", "100"]
+        ok = subprocess.run(command, env=env, capture_output=True, text=True)
+        assert ok.returncode == 0
+        assert "h_star_m" in ok.stdout
+        bad = subprocess.run(command + ["--h-m", "nan"], env=env, capture_output=True, text=True)
+        assert bad.returncode == 2
+        assert bad.stdout == ""
 
     def test_missing_threshold_exit_code(self, capsys):
         code = main(

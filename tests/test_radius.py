@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import uavplace as up
+from uavplace.channel import path_loss_constants
 from uavplace.errors import InfeasibleThresholdError, InputError
 from uavplace.radius import MAX_RADIUS_M, RADIUS_TOL_M
 
@@ -29,7 +31,7 @@ def hp_radius(h, l_th, env, radio):
 
 def ray_radius(theta_deg, l_th, env, radio):
     """Closed-form radius along a fixed-elevation ray (independent route)."""
-    k = up.path_loss_constants(env, radio)
+    k = path_loss_constants(env, radio)
     s_db = k.delta_db * up.los_probability(theta_deg, env)
     return math.cos(math.radians(theta_deg)) * 10.0 ** ((l_th - k.offset_db - s_db) / 20.0)
 
@@ -103,6 +105,44 @@ def test_coverage_radius_profile_inverts_mean_path_loss(radio, env, points):
         assert_inverts_loss(*(float(v) for v in args), env, radio)
 
 
+def test_budget_past_max_radius_gives_max_radius(radio):
+    # the first budget puts the contour just past MAX_RADIUS_M, inside the
+    # closed-form bracket; the others put the whole bracket past it, since the
+    # terrains' excess losses differ by less than 40 dB
+    h = np.array([1.0, 100.0, 5000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for env in TERRAINS:
+            edge = up.mean_path_loss(1.0, 1.001 * MAX_RADIUS_M, env, radio)
+            l_th = np.array([edge, 1e308, edge + 40.0])
+            assert list(up.coverage_radius_profile(h, l_th, env, radio)) == [MAX_RADIUS_M] * len(h)
+            for args in zip(h, l_th):
+                assert up.coverage_radius(*(float(v) for v in args), env, radio) == MAX_RADIUS_M
+
+
+def ray_gain(theta_deg, env):
+    """Radius gain along a fixed-elevation ray, up to a threshold-only term."""
+    theta_deg = np.asarray(theta_deg, dtype=float)
+    p_los = 1.0 / (1.0 + env.a * np.exp(-env.b * (theta_deg - env.a)))
+    return 20.0 * np.log10(np.cos(np.radians(theta_deg))) - (env.eta_los_db - env.eta_nlos_db) * p_los
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.floats(0.5, 60.0),
+    b=st.floats(0.01, 1.0),
+    eta_los=st.floats(0.0, 5.0),
+    excess=st.floats(0.0, 40.0),
+)
+# two peaks 0.0045 dB apart, at 0 and 59.57 deg: the best one-degree sample
+# lies next to the lower one
+@example(a=49.6875, b=0.6640625, eta_los=0.0, excess=6.328125)
+def test_optimal_elevation_beats_fine_grid(a, b, eta_los, excess):
+    env = up.Environment(a, b, eta_los, eta_los + excess)
+    best_on_grid = ray_gain(np.arange(9000) * 0.01, env).max()
+    assert ray_gain(up.optimal_elevation(env), env) >= best_on_grid - 1e-9
+
+
 class TestOptimalElevation:
     def test_urban_angle(self, urban):
         assert up.optimal_elevation(urban) == pytest.approx(42.44, abs=0.05)
@@ -153,6 +193,15 @@ class TestOptimalPair:
         for l_th in (0.0, -5.0, math.nan, math.inf):
             with pytest.raises(InfeasibleThresholdError):
                 up.optimal_pair(l_th, urban, radio)
+
+    def test_budget_beyond_model_range(self, urban, radio):
+        # 400 dB gives r_star = 7.07e17 m, 1e308 dB overflows a plain power
+        for l_th in (400.0, 1e308):
+            with pytest.raises(InputError, match="coverage radius beyond"):
+                up.optimal_pair(l_th, urban, radio)
+        huge = up.QosClass(1, -1e308, 1.0, 1e308)
+        with pytest.raises(InputError, match="coverage radius beyond"):
+            up.altitude_bracket([huge], urban, radio)
 
     def test_radius_consistency_at_optimum(self, urban, radio):
         for l_th in (100.0, 103.0):
