@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Environment, QosClass, RadioConfig, sort_classes
+from .channel import Environment, QosClass, RadioConfig, los_curve, sort_classes
 from .errors import InputError
 from .placement import PlacementSolution, User, evaluate_center, solve_exact
 from .radius import (
+    SEARCH_STEPS,
     AltitudeBracket,
     altitude_bracket,
     coverage_radius,
@@ -95,23 +96,23 @@ def squared_radius_slope(h_m: float, radius_m: float, env: Environment) -> float
     """
     if radius_m <= 0.0:
         return 0.0
-    theta_deg = math.degrees(math.atan2(h_m, radius_m))
-    e = math.exp(-env.b * (theta_deg - env.a))
-    delta_db = env.eta_los_db - env.eta_nlos_db
-    scale = -9.0 * math.log(10.0) * delta_db * env.a * env.b / math.pi
-    x = scale * radius_m * e / (1.0 + env.a * e) ** 2 - h_m
+    p = los_curve(math.degrees(math.atan2(h_m, radius_m)), env)
+    x = _slope_scale(env) * radius_m * p * (1.0 - p) - h_m
     r2 = radius_m * radius_m
     return 2.0 * x * r2 / (r2 + h_m * h_m + h_m * x)
+
+
+def _slope_scale(env: Environment) -> float:
+    # -9 ln(10) delta_db b / pi: the LoS logistic's slope b p (1 - p) per
+    # degree, carried through the contour's implicit derivative
+    return 9.0 * math.log(10.0) * (env.eta_nlos_db - env.eta_los_db) * env.b / math.pi
 
 
 def _slope_profile(h: np.ndarray, r: np.ndarray, env: Environment) -> np.ndarray:
     # Vector twin of squared_radius_slope; empty discs contribute zero.
     r = np.where(r > 0.0, r, np.nan)
-    theta_deg = np.degrees(np.arctan2(h, r))
-    e = np.exp(-env.b * (theta_deg - env.a))
-    delta_db = env.eta_los_db - env.eta_nlos_db
-    scale = -9.0 * math.log(10.0) * delta_db * env.a * env.b / math.pi
-    x = scale * r * e / (1.0 + env.a * e) ** 2 - h
+    p = los_curve(np.degrees(np.arctan2(h, r)), env, np)
+    x = _slope_scale(env) * r * p * (1.0 - p) - h
     r2 = r * r
     slope = 2.0 * x * r2 / (r2 + h * h + h * x)
     return np.where(np.isnan(slope), 0.0, slope)
@@ -152,7 +153,9 @@ def _illinois_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float
     # Modified regula falsi on a sign-changing bracket: the end kept twice in
     # a row has its value halved, so both ends close in on the root.
     x, side = 0.5 * (lo + hi), 0
-    while hi - lo > tol:
+    for _ in range(SEARCH_STEPS):
+        if hi - lo <= tol:
+            break
         x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < x < hi:  # rounding at a tiny bracket
             x = 0.5 * (lo + hi)

@@ -140,6 +140,17 @@ def sort_classes(classes) -> tuple[QosClass, ...]:
     return tuple(sorted(cs, key=lambda c: (c.l_th_db, c.id)))
 
 
+def los_curve(theta_deg, env: Environment, xp=math):
+    """The line-of-sight logistic, unchecked, on floats (``xp=math``) or arrays (``xp=numpy``).
+
+    ``1 / (1 + a exp(-b (theta - a)))`` equals ``(1 + tanh(z / 2)) / 2`` with
+    ``z = b (theta - a) - ln a``. The exponential form overflows once
+    ``a * b`` passes about 709; tanh saturates at -1 instead, so every
+    accepted terrain gives a probability in [0, 1].
+    """
+    return 0.5 + 0.5 * xp.tanh(0.5 * (env.b * (theta_deg - env.a) - math.log(env.a)))
+
+
 def los_probability(theta_deg: float, env: Environment) -> float:
     """Probability of a line-of-sight link at elevation angle ``theta_deg``.
 
@@ -149,7 +160,7 @@ def los_probability(theta_deg: float, env: Environment) -> float:
         raise InputError(
             f"elevation angle must be in (0, 90] degrees, got {theta_deg}"
         )
-    return 1.0 / (1.0 + env.a * math.exp(-env.b * (theta_deg - env.a)))
+    return los_curve(theta_deg, env)
 
 
 def mean_path_loss(h_m: float, r_m: float, env: Environment, radio: RadioConfig) -> float:

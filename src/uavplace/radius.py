@@ -1,16 +1,22 @@
 """Coverage radius of one loss threshold, and the altitude that maximizes it.
 
-The mean-loss contour ``L(h, r) = l_th`` is transcendental in ``r``, so the
-radius is bisected inside a closed-form bracket (the loss is strictly
-increasing in ``r`` at fixed altitude, which makes bisection safe). The
-radius-maximizing elevation angle depends only on the terrain constants, so
-the best altitude for a threshold follows from that angle and the
-closed-form radius along a fixed-angle ray.
+At elevation angle ``theta`` the slant distance is ``h / sin(theta)``, so
+the mean loss is ``L(h, r) = 20 (F(theta) + log10 h) + offset_db`` with
+``F(theta) = delta_db p_LoS(theta) / 20 - log10 sin(theta)``. ``F`` depends
+only on the terrain and falls strictly with the angle (``delta_db <= 0``),
+so the loss contour ``L = l_th`` is the one angle where
+``F = (l_th - offset_db) / 20 - log10 h``, and the radius is
+``h cot(theta)``. ``F`` is tabulated once per terrain; each radius is a
+table lookup plus a few Newton steps on the angle. The radius-maximizing
+elevation angle depends only on the terrain constants, so the best altitude
+for a threshold follows from that angle and the closed-form radius along a
+fixed-angle ray.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -20,6 +26,7 @@ from .channel import (
     Environment,
     QosClass,
     RadioConfig,
+    los_curve,
     los_probability,
     mean_path_loss,
     path_loss_constants,
@@ -30,6 +37,26 @@ from .errors import InfeasibleThresholdError, InputError
 RADIUS_TOL_M = 1e-3
 ANGLE_TOL_DEG = 1e-4
 MAX_RADIUS_M = 1e7
+#: Newton steps of the scalar contour solve (the loop bound) and of the
+#: vector one.
+CONTOUR_NEWTON_STEPS = 6
+PROFILE_NEWTON_STEPS = 2
+#: Iteration cap of the golden-section and Illinois searches, far above the
+#: steps they take; it only stops a bracket that floats cannot split further.
+SEARCH_STEPS = 200
+
+_DEG = math.pi / 180.0
+_LN10 = math.log(10.0)
+#: Contour table abscissa t = cot(theta) = r / h. Below the first node a
+#: radius is under 1e-12 h; past the last one F has a closed form.
+_CONTOUR_T = np.logspace(-12.0, 16.0, 2049)
+#: Extra table nodes across the rise of p_LoS, as values of the logistic's
+#: argument b (theta - a) - ln a, so that a steep terrain (large b) still
+#: has cells in which F is nearly linear.
+_CONTOUR_LOGIT = np.linspace(-20.0, 20.0, 257)
+#: A scalar solve stops once a step moves the angle by less than this
+#: fraction of its table cell.
+_NEWTON_RTOL = 1e-6
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Elevation search interval (0, 90) degrees, kept off the singular ends.
@@ -64,56 +91,89 @@ class AltitudeBracket:
             raise InputError("bracket requires h_lo_m <= h_hi_m")
 
 
-def _contour_bracket(h, l_th_db, env: Environment, radio: RadioConfig):
-    """Horizontal distances ``(lo, hi)`` between which the loss contour lies.
+def _contour_terms(theta_deg, env: Environment, xp=math):
+    # F(theta) = delta_db p(theta) / 20 - log10 sin(theta) and dF/dtheta per
+    # degree, on floats (xp=math) or arrays (xp=numpy); F falls strictly.
+    dh = (env.eta_los_db - env.eta_nlos_db) / 20.0
+    p = los_curve(theta_deg, env, xp)
+    rad = theta_deg * _DEG
+    return dh * p - xp.log10(xp.sin(rad)), dh * env.b * p * (1.0 - p) - _DEG / (_LN10 * xp.tan(rad))
 
-    The line-of-sight probability lies in [0, 1], so at slant distance ``d``
-    the mean loss lies between ``offset + delta + 20 log10 d`` and
-    ``offset + 20 log10 d``. Solving each bound for ``l_th`` gives a covered
-    distance ``lo`` and an uncovered one ``hi``. The slant distances are
-    capped at ``h + 2 MAX_RADIUS_M``, which lies beyond ``MAX_RADIUS_M`` and
-    keeps a huge budget from overflowing. Accepts scalars or arrays.
+
+@lru_cache(maxsize=64)
+def _contour(env: Environment):
+    """The terrain's ``F`` at the angles of ``_CONTOUR_T`` and ``_CONTOUR_LOGIT``.
+
+    Returns the angles (falling) and ``F`` (rising) as arrays for the vector
+    solver and as lists of floats for the scalar one. Cached per terrain.
     """
-    k = path_loss_constants(env, radio)
-    log_d = (l_th_db - k.offset_db) / 20.0
-    d = 10.0 ** np.minimum([log_d, log_d - k.delta_db / 20.0], np.log10(h + 2.0 * MAX_RADIUS_M))
-    return np.sqrt(np.maximum((d - h) * (d + h), 0.0))
+    grid = np.degrees(np.arctan2(1.0, _CONTOUR_T))
+    rise = env.a + (math.log(env.a) - _CONTOUR_LOGIT) / env.b
+    rise = rise[(rise < grid[0]) & (rise > grid[-1])]
+    # merge the two falling sequences by position: np.unique or np.insert
+    # would page in 0.25-1.5 MB of sorting code that a small trial never runs
+    at = np.searchsorted(-grid, -rise) + np.arange(len(rise))
+    theta = np.empty(len(grid) + len(rise))
+    on_grid = np.ones(len(theta), dtype=bool)
+    on_grid[at] = False
+    theta[at], theta[on_grid] = rise, grid
+    # running maximum: rounding must not break the order that bisect needs
+    f = np.maximum.accumulate(_contour_terms(theta, env, np)[0])
+    return theta, f, theta.tolist(), f.tolist()
+
+
+def _beyond_table(h, y, f_end):
+    # Past the last node sin(theta) = 1 / t to rounding and p_LoS is constant
+    # to within b * 1.5e-15, so F rises as log10 t. The exponent is capped one
+    # decade past MAX_RADIUS_M, so nothing overflows and the caller's cap bites.
+    cap = np.log10(10.0 * MAX_RADIUS_M / (h * _CONTOUR_T[-1]))
+    return h * _CONTOUR_T[-1] * 10.0 ** np.minimum(y - f_end, cap)
 
 
 def coverage_radius(h_m: float, l_th_db: float, env: Environment, radio: RadioConfig) -> float:
     """Largest horizontal distance still covered from altitude ``h_m``.
 
     Returns 0 when even the overhead link exceeds the threshold, and
-    ``MAX_RADIUS_M`` when the contour lies beyond it. The root is bisected to
-    ``RADIUS_TOL_M`` inside the closed-form bracket of ``_contour_bracket``.
+    ``MAX_RADIUS_M`` when the contour lies beyond it. The table cell that
+    holds the contour is found by bisection, and at most
+    ``CONTOUR_NEWTON_STEPS`` safeguarded Newton steps refine the angle.
     """
     if not h_m > 0.0:
         raise InputError(f"altitude h_m must be positive, got {h_m}")
     # ``not <=`` as in coverage_radius_profile, so a nan budget gives 0 in both
     if not mean_path_loss(h_m, 0.0, env, radio) <= l_th_db:
         return 0.0
-    lo, hi = map(float, _contour_bracket(h_m, l_th_db, env, radio))
-    while hi - lo > RADIUS_TOL_M:
-        mid = 0.5 * (lo + hi)
-        if mean_path_loss(h_m, mid, env, radio) <= l_th_db:
-            lo = mid
-        else:
-            hi = mid
-    return min(0.5 * (lo + hi), MAX_RADIUS_M)
-
-
-def _mean_path_loss_array(h, r, env: Environment, radio: RadioConfig):
-    # Vector twin of channel.mean_path_loss; arctan2 handles r = 0 exactly.
-    k = path_loss_constants(env, radio)
-    theta_deg = np.degrees(np.arctan2(h, r))
-    p_los = 1.0 / (1.0 + env.a * np.exp(-env.b * (theta_deg - env.a)))
-    return k.delta_db * p_los + 10.0 * np.log10(h * h + r * r) + k.offset_db
+    _, _, thetas, fs = _contour(env)
+    y = (l_th_db - path_loss_constants(env, radio).offset_db) / 20.0 - math.log10(h_m)
+    i = bisect_left(fs, y)
+    if i == 0:
+        return min(h_m / math.tan(thetas[0] * _DEG), MAX_RADIUS_M)
+    if i == len(fs):
+        return min(float(_beyond_table(h_m, y, fs[-1])), MAX_RADIUS_M)
+    # F(hi) < y <= F(lo), and hi > lo as angles
+    hi, lo, f_hi, f_lo = thetas[i - 1], thetas[i], fs[i - 1], fs[i]
+    theta = hi + (y - f_hi) * (lo - hi) / (f_lo - f_hi)
+    tol = _NEWTON_RTOL * (hi - lo)
+    for _ in range(CONTOUR_NEWTON_STEPS):
+        f, df = _contour_terms(theta, env)
+        if f < y:
+            hi = theta
+        elif f > y:
+            lo = theta
+        step = (f - y) / df
+        if abs(step) <= tol:
+            theta -= step
+            break
+        theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
+    return min(h_m / math.tan(theta * _DEG), MAX_RADIUS_M)
 
 
 def coverage_radius_profile(h_values, l_th_db, env: Environment, radio: RadioConfig) -> np.ndarray:
     """Coverage radii for many altitudes at once (same contract as coverage_radius).
 
-    ``l_th_db`` may be a scalar or an array matching ``h_values``.
+    ``l_th_db`` may be a scalar or an array matching ``h_values``. Each
+    contour starts from linear interpolation in the table and takes
+    ``PROFILE_NEWTON_STEPS`` Newton steps, each kept inside its table cell.
     """
     h = np.asarray(h_values, dtype=float)
     if h.ndim != 1:
@@ -121,16 +181,22 @@ def coverage_radius_profile(h_values, l_th_db, env: Environment, radio: RadioCon
     if not np.all(h > 0.0):
         raise InputError("all altitudes must be positive")
     l_th_db = np.broadcast_to(np.asarray(l_th_db, dtype=float), h.shape)
+    thetas, fs, _, _ = _contour(env)
+    k = path_loss_constants(env, radio)
     out = np.zeros_like(h)
-    lo, hi = _contour_bracket(h, l_th_db, env, radio)
-    active = _mean_path_loss_array(h, np.zeros_like(h), env, radio) <= l_th_db
-    if active.any():
-        while np.max((hi - lo)[active]) > RADIUS_TOL_M:
-            mid = 0.5 * (lo + hi)
-            below = _mean_path_loss_array(h, mid, env, radio) <= l_th_db
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[active] = np.minimum(0.5 * (lo + hi), MAX_RADIUS_M)[active]
+    # the scalar zero rule, not mean_path_loss(h, 0) <= l_th, element-wise
+    active = k.delta_db * los_probability(90.0, env) + 10.0 * np.log10(h * h) + k.offset_db <= l_th_db
+    h = h[active]
+    y = (l_th_db[active] - k.offset_db) / 20.0 - np.log10(h)
+    y_in = np.clip(y, fs[0], fs[-1])
+    i = np.clip(np.searchsorted(fs, y_in), 1, len(fs) - 1)
+    lo, hi = thetas[i], thetas[i - 1]
+    theta = np.interp(y_in, fs, thetas)
+    for _ in range(PROFILE_NEWTON_STEPS):
+        f, df = _contour_terms(theta, env, np)
+        theta = np.clip(theta - (f - y_in) / df, lo, hi)
+    r = np.where(y > fs[-1], _beyond_table(h, y, fs[-1]), h / np.tan(theta * _DEG))
+    out[active] = np.minimum(r, MAX_RADIUS_M)
     return out
 
 
@@ -138,7 +204,9 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
+    for _ in range(SEARCH_STEPS):
+        if hi - lo <= tol:
+            break
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
@@ -169,8 +237,7 @@ def optimal_elevation(env: Environment) -> float:
         return 20.0 * math.log10(math.cos(math.radians(theta_deg))) - delta_db * los_probability(theta_deg, env)
 
     grid = _ELEVATION_SCAN_DEG
-    p_los = 1.0 / (1.0 + env.a * np.exp(-env.b * (grid - env.a)))
-    scan = _COS_GAIN_SCAN_DB - delta_db * p_los
+    scan = _COS_GAIN_SCAN_DB - delta_db * los_curve(grid, env, np)
     padded = np.concatenate(([-np.inf], scan, [-np.inf]))
     peaks = np.flatnonzero((scan >= padded[:-2]) & (scan >= padded[2:]))
     cells = [(float(grid[max(i - 1, 0)]), float(grid[min(i + 1, len(grid) - 1)])) for i in peaks]

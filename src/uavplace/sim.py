@@ -10,7 +10,6 @@ paired.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -273,6 +272,10 @@ def run_trials(scenario: Scenario, workers: int = 1) -> list[TrialRecord]:
     if workers <= 1:
         nested = [one_trial(t) for t in range(scenario.trials)]
     else:
+        # imported here: the CLI never starts threads, and the module with the
+        # logging and threading machinery it pulls in costs about 0.6 MB
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             nested = list(pool.map(one_trial, range(scenario.trials)))
     return [rec for trial in nested for rec in trial]

@@ -1,14 +1,17 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import uavplace as up
 from uavplace.algorithms import MAX_GRID_POINTS
+from uavplace.channel import SPEED_OF_LIGHT_M_S
 from uavplace.cli import load_scenario, load_users_csv, main
 from uavplace.errors import InputError
 
@@ -336,6 +339,20 @@ class TestRadiusCommand:
         assert code == 2
         assert captured.out == ""
         assert "coverage radius beyond" in captured.err
+
+    def test_logistic_with_a_times_b_past_709_exit_0(self, capsys):
+        # exp(-b (theta - a)) overflowed here (OverflowError, exit 1); with
+        # p_LoS = 0 the model is free space plus eta_nlos, so r_star is the
+        # slant distance at which that loss equals the budget
+        flags = ["radius", "--a", "800", "--b", "1", "--eta-los-db", "0", "--eta-nlos-db", "20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(flags + RADIUS_FLAGS[3:] + ["--l-th-db", "100", "--h-m", "1e-4"])
+        assert code == 0
+        out = dict(line.split(" = ") for line in capsys.readouterr().out.strip().splitlines())
+        d = 10.0 ** ((100.0 - 20.0) / 20.0) * SPEED_OF_LIGHT_M_S / (4.0 * math.pi * 2e9)
+        assert float(out["r_star_m"]) == pytest.approx(d, rel=1e-9)
+        assert float(out["radius_m"]) == pytest.approx(math.sqrt(d * d - 1e-8), rel=1e-9)
 
     def test_python_m_runs_cli(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import uavplace as up
+from uavplace import radius
 from uavplace.channel import path_loss_constants
 from uavplace.errors import InfeasibleThresholdError, InputError
 from uavplace.radius import MAX_RADIUS_M, RADIUS_TOL_M
@@ -26,7 +27,9 @@ def hp_radius(h, l_th, env, radio):
     if up.mean_path_loss(h, 0.0, env, radio) > l_th:
         return 0.0
     f = lambda r: up.mean_path_loss(h, r, env, radio) - l_th
-    return brentq(f, 1e-9, 1e6, xtol=1e-10, rtol=8.9e-16)
+    if f(MAX_RADIUS_M) <= 0.0:
+        return MAX_RADIUS_M
+    return brentq(f, 0.0, MAX_RADIUS_M, xtol=1e-10, rtol=8.9e-16)
 
 
 def ray_radius(theta_deg, l_th, env, radio):
@@ -106,9 +109,8 @@ def test_coverage_radius_profile_inverts_mean_path_loss(radio, env, points):
 
 
 def test_budget_past_max_radius_gives_max_radius(radio):
-    # the first budget puts the contour just past MAX_RADIUS_M, inside the
-    # closed-form bracket; the others put the whole bracket past it, since the
-    # terrains' excess losses differ by less than 40 dB
+    # the first budget puts the contour just past MAX_RADIUS_M, the others far
+    # past it (1e308 dB, and 40 dB more than the first)
     h = np.array([1.0, 100.0, 5000.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -118,6 +120,78 @@ def test_budget_past_max_radius_gives_max_radius(radio):
             assert list(up.coverage_radius_profile(h, l_th, env, radio)) == [MAX_RADIUS_M] * len(h)
             for args in zip(h, l_th):
                 assert up.coverage_radius(*(float(v) for v in args), env, radio) == MAX_RADIUS_M
+
+
+#: Terrains over the accepted domain: the ranges of the elevation property
+#: below, plus a * b > 709, where exp(-b (theta - a)) overflows.
+_terrain = st.one_of(
+    st.tuples(st.floats(0.5, 60.0), st.floats(0.01, 1.0)),
+    st.tuples(st.floats(710.0, 1000.0), st.floats(1.0, 2.0)),
+).flatmap(
+    lambda ab: st.builds(
+        lambda eta, excess: up.Environment(*ab, eta, eta + excess),
+        st.floats(0.0, 5.0),
+        st.floats(0.0, 40.0),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(env=_terrain, h=_altitude, l_th=_threshold)
+def test_both_solvers_match_brentq_on_any_terrain(radio, env, h, l_th):
+    expected = hp_radius(h, l_th, env, radio)
+    assert up.coverage_radius(h, l_th, env, radio) == pytest.approx(expected, abs=RADIUS_TOL_M)
+    (r,) = up.coverage_radius_profile([h], l_th, env, radio)
+    assert r == pytest.approx(expected, abs=RADIUS_TOL_M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(env=_terrain, h=_altitude, l_th=st.floats(60.0, 160.0), k=st.integers(-8, 8))
+def test_radius_scales_with_altitude_and_budget(radio, env, h, l_th, k):
+    # L(s h, s r) = L(h, r) + 20 log10 s, since the elevation angle is unchanged
+    s = 2.0**k
+    l_s = l_th + 20.0 * math.log10(s)
+    r, r_s = up.coverage_radius(h, l_th, env, radio), up.coverage_radius(s * h, l_s, env, radio)
+    assume(max(r, r_s) < MAX_RADIUS_M)
+    assert r_s == pytest.approx(s * r, abs=(1.0 + s) * RADIUS_TOL_M)
+    v, v_s = up.coverage_radius_profile([h, s * h], [l_th, l_s], env, radio)
+    assert v_s == pytest.approx(s * v, abs=(1.0 + s) * RADIUS_TOL_M)
+
+
+def test_solvers_terminate_on_edge_budgets(radio, monkeypatch):
+    # table nodes, the flat cells near overhead where neighbouring F values
+    # round equal, extreme altitudes, the zero edge, the MAX_RADIUS_M edge
+    # and a nan budget, with the scalar solver's Newton evaluations counted
+    steps, flat_cells = [], 0
+    terms = radius._contour_terms
+    monkeypatch.setattr(
+        radius, "_contour_terms", lambda theta, env, xp=math: steps.append(xp) or terms(theta, env, xp)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for env in TERRAINS + (up.Environment(800.0, 1.0, 0.0, 20.0), up.Environment(5.0, 0.5, 3.0, 3.0)):
+            _, fs, _, _ = radius._contour(env)
+            nodes = [0, 1, 2, 700, 1024, len(fs) - 2, len(fs) - 1]
+            flat = np.flatnonzero(np.diff(fs) == 0.0)
+            flat_cells += len(flat)
+            offset = path_loss_constants(env, radio).offset_db
+            for h in (1e-6, 1.0, 646.5, 1e6):
+                edge = up.mean_path_loss(h, 0.0, env, radio)
+                budgets = [offset + 20.0 * (fs[j] + math.log10(h)) for j in [*nodes, *flat[:3], *flat[-3:]]]
+                budgets += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), math.nan]
+                budgets += [up.mean_path_loss(h, f * MAX_RADIUS_M, env, radio) for f in (0.999, 1.001)]
+                profile = up.coverage_radius_profile(np.full(len(budgets), h), budgets, env, radio)
+                for l_th, r_vec in zip(budgets, profile):
+                    steps.clear()
+                    r = up.coverage_radius(h, l_th, env, radio)
+                    assert steps.count(math) <= radius.CONTOUR_NEWTON_STEPS
+                    assert 0.0 <= r <= MAX_RADIUS_M and 0.0 <= r_vec <= MAX_RADIUS_M
+                    assert r == pytest.approx(r_vec, rel=1e-9, abs=1e-9 * h)
+                    if h <= 1e3 and not math.isnan(l_th):
+                        assert_inverts_loss(h, l_th, r, env, radio)
+                assert profile[-3] == 0.0 and up.coverage_radius(h, math.nan, env, radio) == 0.0
+                assert up.coverage_radius(h, np.nextafter(edge, -np.inf), env, radio) == 0.0
+    assert flat_cells > 0
 
 
 def ray_gain(theta_deg, env):
