@@ -124,10 +124,11 @@ def _contour(env: Environment):
 
 def _beyond_table(h, y, f_end):
     # Past the last node sin(theta) = 1 / t to rounding and p_LoS is constant
-    # to within b * 1.5e-15, so F rises as log10 t. The exponent is capped one
-    # decade past MAX_RADIUS_M, so nothing overflows and the caller's cap bites.
-    cap = np.log10(10.0 * MAX_RADIUS_M / (h * _CONTOUR_T[-1]))
-    return h * _CONTOUR_T[-1] * 10.0 ** np.minimum(y - f_end, cap)
+    # to within b * 1.5e-15, so F rises as log10 t. The radius is formed in
+    # log10 and capped one decade past MAX_RADIUS_M, so no altitude or budget
+    # overflows and the caller's cap bites.
+    log_r = np.log10(h) + math.log10(_CONTOUR_T[-1]) + (y - f_end)
+    return 10.0 ** np.minimum(log_r, math.log10(10.0 * MAX_RADIUS_M))
 
 
 def coverage_radius(h_m: float, l_th_db: float, env: Environment, radio: RadioConfig) -> float:

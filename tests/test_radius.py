@@ -161,7 +161,8 @@ def test_radius_scales_with_altitude_and_budget(radio, env, h, l_th, k):
 def test_solvers_terminate_on_edge_budgets(radio, monkeypatch):
     # table nodes, the flat cells near overhead where neighbouring F values
     # round equal, extreme altitudes, the zero edge, the MAX_RADIUS_M edge
-    # and a nan budget, with the scalar solver's Newton evaluations counted
+    # and an infinite and a nan budget, with the scalar solver's Newton
+    # evaluations counted
     steps, flat_cells = [], 0
     terms = radius._contour_terms
     monkeypatch.setattr(
@@ -178,7 +179,7 @@ def test_solvers_terminate_on_edge_budgets(radio, monkeypatch):
             for h in (1e-6, 1.0, 646.5, 1e6):
                 edge = up.mean_path_loss(h, 0.0, env, radio)
                 budgets = [offset + 20.0 * (fs[j] + math.log10(h)) for j in [*nodes, *flat[:3], *flat[-3:]]]
-                budgets += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), math.nan]
+                budgets += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), math.inf, math.nan]
                 budgets += [up.mean_path_loss(h, f * MAX_RADIUS_M, env, radio) for f in (0.999, 1.001)]
                 profile = up.coverage_radius_profile(np.full(len(budgets), h), budgets, env, radio)
                 for l_th, r_vec in zip(budgets, profile):
@@ -190,7 +191,10 @@ def test_solvers_terminate_on_edge_budgets(radio, monkeypatch):
                     if h <= 1e3 and not math.isnan(l_th):
                         assert_inverts_loss(h, l_th, r, env, radio)
                 assert profile[-3] == 0.0 and up.coverage_radius(h, math.nan, env, radio) == 0.0
+                assert profile[-4] == MAX_RADIUS_M
                 assert up.coverage_radius(h, np.nextafter(edge, -np.inf), env, radio) == 0.0
+            # past the table at an altitude whose square overflows
+            assert up.coverage_radius(1e300, math.inf, env, radio) == MAX_RADIUS_M
     assert flat_cells > 0
 
 
